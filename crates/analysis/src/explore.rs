@@ -369,17 +369,8 @@ fn plan_from_points(
 
 /// Deterministic per-config RNG salt (stable label hash, not `Hash`).
 fn config_salt(workload: WorkloadKind, model: ModelKind) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in workload
-        .label()
-        .bytes()
-        .chain([b'/'])
-        .chain(model.label().bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let label = format!("{}/{}", workload.label(), model.label());
+    asap_sim_core::fnv1a_fold(asap_sim_core::FNV_OFFSET, label.as_bytes())
 }
 
 /// One oracle violation found at a crash point.

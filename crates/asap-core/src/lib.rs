@@ -39,8 +39,8 @@
 //!   state, event queue, run loop) plus shared *flows* (core execution,
 //!   load/store path, flush pipeline, commit protocol) on one side, and
 //!   one `PersistencyModel` trait implementation per design on the
-//!   other. The engine never branches on [`ModelKind`]; a
-//!   construction-time registry picks the implementation when
+//!   other. The engine never branches on [`ModelKind`]; the
+//!   `ModelDispatch` enum picks the implementation when
 //!   [`SimBuilder::build`] runs, and each design keeps its private
 //!   per-core state (baseline's dirty sets, HOPS' timestamp registers,
 //!   ASAP's conservative-mode flags) inside its own model struct. See
@@ -98,10 +98,7 @@ pub use ops::{BurstCtx, BurstStatus, MemOp, ThreadProgram};
 pub use oracle::{CrashReport, OracleError, Violation, ViolationRule};
 pub use pb::{PbEntry, PbEntryState, PersistBuffer};
 pub use race::{RaceFinding, RaceReport};
-pub use sim::{
-    default_queue_kind, set_default_queue_kind, BoundaryKind, CrashPoints, KeyMask, Sim,
-    SimBuilder, SimOutcome,
-};
+pub use sim::{BoundaryKind, CrashPoints, KeyMask, Sim, SimBuilder, SimOutcome};
 
 // Re-export the model/flavor selectors where users expect them.
-pub use asap_sim_core::{Flavor, ModelKind, QueueKind};
+pub use asap_sim_core::{Flavor, ModelKind};

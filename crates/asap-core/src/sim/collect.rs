@@ -232,20 +232,6 @@ impl CrashPoints {
     }
 }
 
-/// One FNV-1a step over a little-endian `u64` (the workspace-standard
-/// digest; same constants as `SimConfig::digest`).
-#[inline]
-pub(crate) fn fnv1a_u64(mut hash: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,8 +286,8 @@ mod tests {
 
     #[test]
     fn fnv_digest_is_order_sensitive() {
-        let a = fnv1a_u64(fnv1a_u64(FNV_OFFSET, 1), 2);
-        let b = fnv1a_u64(fnv1a_u64(FNV_OFFSET, 2), 1);
-        assert_ne!(a, b);
+        use asap_sim_core::{fnv1a_fold, FNV_OFFSET};
+        let fold = |h, v: u64| fnv1a_fold(h, &v.to_le_bytes());
+        assert_ne!(fold(fold(FNV_OFFSET, 1), 2), fold(fold(FNV_OFFSET, 2), 1));
     }
 }

@@ -3,7 +3,7 @@
 //! Protocol decisions live behind [`PersistencyModel`] hooks; the engine
 //! never branches on [`asap_sim_core::ModelKind`].
 
-use super::collect::{fnv1a_u64, BoundaryKind, CrashPoints, KeyMask, FNV_OFFSET};
+use super::collect::{BoundaryKind, CrashPoints, KeyMask};
 use super::model::PersistencyModel;
 use crate::deps::DepGraph;
 use crate::ops::{MemOp, ThreadProgram};
@@ -12,8 +12,8 @@ use asap_cache_sim::{CoherenceHub, CountingBloom, WriteBackBuffer};
 use asap_memctrl::MemController;
 use asap_pm_mem::{NvmImage, PmSpace, SnapshotPool, WriteJournal};
 use asap_sim_core::{
-    Cycle, EpochId, EventQueue, Flavor, LineAddr, LineIdx, LineTable, McId, NullTracer, QueueKind,
-    Sampler, ShardedEventQueue, SimConfig, Stats, TextTracer, ThreadId, TraceRecord, Tracer,
+    fnv1a_fold, Cycle, EpochId, EventQueue, Flavor, LineAddr, LineIdx, LineTable, McId, NullTracer,
+    Sampler, SimConfig, Stats, TextTracer, ThreadId, TraceRecord, Tracer, FNV_OFFSET,
 };
 use std::collections::VecDeque;
 
@@ -108,63 +108,13 @@ pub(super) enum Event {
     Sample,
 }
 
-/// The engine's event queue, behind the `--queue=sharded|heap` escape
-/// hatch. Both variants produce bit-identical dispatch order (the
-/// sharded queue shares one global sequence counter, so the
-/// min-of-shards merge reproduces the single heap's total order); the
-/// enum exists so a queue regression can be bisected without a rebuild.
-pub(super) enum SimQueue {
-    Heap(EventQueue<Event>),
-    Sharded(ShardedEventQueue<Event>),
-}
-
-impl SimQueue {
-    fn with_capacity(kind: QueueKind, num_shards: usize, cap: usize) -> SimQueue {
-        match kind {
-            QueueKind::Heap => SimQueue::Heap(EventQueue::with_capacity(cap)),
-            QueueKind::Sharded => {
-                SimQueue::Sharded(ShardedEventQueue::with_capacity(num_shards, cap))
-            }
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, shard: usize, at: Cycle, ev: Event) {
-        match self {
-            SimQueue::Heap(q) => q.push(at, ev),
-            SimQueue::Sharded(q) => q.push(shard, at, ev),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(Cycle, Event)> {
-        match self {
-            SimQueue::Heap(q) => q.pop(),
-            SimQueue::Sharded(q) => q.pop(),
-        }
-    }
-
-    #[inline]
-    fn peek_time(&self) -> Option<Cycle> {
-        match self {
-            SimQueue::Heap(q) => q.peek_time(),
-            SimQueue::Sharded(q) => q.peek_time(),
-        }
-    }
-}
-
 /// The shared machine: everything of Table II that exists regardless of
 /// the persistency design being simulated.
 pub(super) struct Engine {
     pub cfg: SimConfig,
     pub flavor: Flavor,
     pub now: Cycle,
-    pub queue: SimQueue,
-    /// Number of core-group shards in the sharded queue; MC shards
-    /// follow at `core_shards..core_shards + mc_shards`.
-    pub core_shards: usize,
-    /// Number of MC shards (memory controllers share them modulo this).
-    pub mc_shards: usize,
+    pub queue: EventQueue<Event>,
     pub cores: Vec<Core>,
     pub programs: Vec<Box<dyn ThreadProgram>>,
     pub hub: CoherenceHub,
@@ -235,7 +185,6 @@ impl Engine {
         journal: bool,
         uses_pb: bool,
         flush_engine: bool,
-        queue_kind: QueueKind,
     ) -> Engine {
         let n = cfg.num_cores;
         let mut cores = Vec::with_capacity(n);
@@ -272,18 +221,9 @@ impl Engine {
         // core keeps at most a step plus its in-flight flushes pending,
         // each MC a handful of commit/reply messages. Sweeps run many
         // thousands of sims; never re-growing the heap is measurable.
-        let cap = n * (cfg.pb_entries + 16) + cfg.num_mcs * 16;
-        // Core events share a couple of shards (grouped by thread id)
-        // and the MCs share a couple more. The event population per sim
-        // is small (a few hundred), so per-shard heaps are shallow at
-        // any width — what the merge front pays for every pop is one
-        // compare per shard head, which makes a *narrow* front the win.
-        let core_shards = n.min(2);
-        let mc_shards = cfg.num_mcs.min(2);
-        debug_assert!(core_shards.is_power_of_two() && mc_shards.is_power_of_two());
-        let mut queue = SimQueue::with_capacity(queue_kind, core_shards + mc_shards, cap);
+        let mut queue = EventQueue::with_capacity(n * (cfg.pb_entries + 16) + cfg.num_mcs * 16);
         for i in 0..n {
-            queue.push(i % core_shards, Cycle::ZERO, Event::CoreStep(i));
+            queue.push(Cycle::ZERO, Event::CoreStep(i));
         }
         let nack_filters = (0..cfg.num_mcs)
             .map(|_| CountingBloom::new(1024, 3))
@@ -293,8 +233,6 @@ impl Engine {
             flavor,
             now: Cycle::ZERO,
             queue,
-            core_shards,
-            mc_shards,
             cores,
             programs,
             hub,
@@ -341,15 +279,11 @@ impl Engine {
     // Run loop
     // ---------------------------------------------------------------
 
-    pub(super) fn run_until<M: PersistencyModel + ?Sized>(
-        &mut self,
-        m: &mut M,
-        limit: Option<Cycle>,
-    ) {
+    pub(super) fn run_until<M: PersistencyModel>(&mut self, m: &mut M, limit: Option<Cycle>) {
         const EVENT_BUDGET: u64 = 2_000_000_000;
         while !self.all_done() {
-            // Unbounded runs (the common case) pop directly: one merge
-            // scan per event instead of a peek followed by a pop.
+            // Unbounded runs (the common case) pop directly instead of
+            // peeking first.
             if let Some(l) = limit {
                 match self.queue.peek_time() {
                     Some(next_time) if next_time > l => {
@@ -383,7 +317,7 @@ impl Engine {
         self.finish_accounting();
     }
 
-    fn dispatch<M: PersistencyModel + ?Sized>(&mut self, m: &mut M, ev: Event) {
+    fn dispatch<M: PersistencyModel>(&mut self, m: &mut M, ev: Event) {
         match ev {
             Event::CoreStep(t) => self.core_step(m, t),
             Event::TryFlush(t) => self.try_flush(m, t),
@@ -445,22 +379,22 @@ impl Engine {
     pub(super) fn state_key(&self, mask: KeyMask) -> u64 {
         let mut h = FNV_OFFSET;
         if mask.journal {
-            h = fnv1a_u64(h, self.journal.version());
+            h = fnv1a_fold(h, &self.journal.version().to_le_bytes());
         }
         if mask.deps {
-            h = fnv1a_u64(h, self.deps.version());
+            h = fnv1a_fold(h, &self.deps.version().to_le_bytes());
         }
         if mask.nvm {
-            h = fnv1a_u64(h, self.nvm.version());
+            h = fnv1a_fold(h, &self.nvm.version().to_le_bytes());
         }
         if mask.rt {
             for mc in &self.mcs {
-                h = fnv1a_u64(h, mc.rt().version());
+                h = fnv1a_fold(h, &mc.rt().version().to_le_bytes());
             }
         }
         if mask.pb {
             for c in &self.cores {
-                h = fnv1a_u64(h, c.pb.version());
+                h = fnv1a_fold(h, &c.pb.version().to_le_bytes());
             }
         }
         h
@@ -468,7 +402,7 @@ impl Engine {
 
     /// Record the current crash-state digest on the collector timeline
     /// (no-op without a collector).
-    pub(super) fn note_crash_key<M: PersistencyModel + ?Sized>(&mut self, m: &M) {
+    pub(super) fn note_crash_key<M: PersistencyModel>(&mut self, m: &M) {
         let key = self.state_key(m.crash_key_mask());
         let now = self.now.raw();
         if let Some(col) = self.collector.as_mut() {
@@ -538,7 +472,7 @@ impl Engine {
 
     /// Abort on an empty event queue with unfinished threads.
     #[cold]
-    fn deadlock<M: PersistencyModel + ?Sized>(&self, m: &M) -> ! {
+    fn deadlock<M: PersistencyModel>(&self, m: &M) -> ! {
         panic!(
             "deadlock at {}: no events pending but threads unfinished: {}",
             self.now,
@@ -547,7 +481,7 @@ impl Engine {
     }
 
     /// Diagnostic snapshot of every unfinished core (deadlock reports).
-    pub(super) fn dump_state<M: PersistencyModel + ?Sized>(&self, m: &M) -> String {
+    pub(super) fn dump_state<M: PersistencyModel>(&self, m: &M) -> String {
         self.cores
             .iter()
             .filter(|c| !c.done)
@@ -580,32 +514,8 @@ impl Engine {
     // Scheduling helpers
     // ---------------------------------------------------------------
 
-    /// Deterministic shard routing: MC-addressed messages land on that
-    /// MC's shard, core-addressed events on the core's group shard.
-    /// Routing affects locality only — the global sequence counter keeps
-    /// pop order identical under any routing (and under the heap queue).
-    #[inline]
-    fn shard_of(&self, ev: &Event) -> usize {
-        match *ev {
-            Event::CoreStep(t)
-            | Event::TryFlush(t)
-            | Event::FlushReply { tid: t, .. }
-            | Event::SyncFlushReply { tid: t }
-            | Event::CdrArrive { tid: t, .. }
-            // Both shard counts are 1 or 2 (powers of two), so routing
-            // is a mask, not a division — this runs once per push.
-            | Event::HopsPoll { tid: t } => t & (self.core_shards - 1),
-            Event::CommitAckArrive { epoch } => epoch.thread.0 & (self.core_shards - 1),
-            Event::FlushArrive { mc, .. }
-            | Event::SyncFlushArrive { mc, .. }
-            | Event::CommitArrive { mc, .. } => self.core_shards + (mc & (self.mc_shards - 1)),
-            Event::Sample => 0,
-        }
-    }
-
     pub(super) fn schedule(&mut self, at: Cycle, ev: Event) {
-        let shard = self.shard_of(&ev);
-        self.queue.push(shard, at.max(self.now), ev);
+        self.queue.push(at.max(self.now), ev);
     }
 
     pub(super) fn schedule_step(&mut self, t: usize, at: Cycle) {
@@ -687,7 +597,7 @@ impl Engine {
         self.cores[t].pb_occ_last = self.now;
     }
 
-    pub(super) fn update_pb_blocked<M: PersistencyModel + ?Sized>(&mut self, m: &M, t: usize) {
+    pub(super) fn update_pb_blocked<M: PersistencyModel>(&mut self, m: &M, t: usize) {
         if !self.uses_pb {
             return;
         }

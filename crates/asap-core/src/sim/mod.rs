@@ -38,9 +38,8 @@
 //! * `flows` — the engine's shared flows: core execution, the
 //!   load/store path, cross-thread dependencies, the flush pipeline and
 //!   the commit protocol. Each protocol decision defers to a hook.
-//! * [`model`] — the `PersistencyModel` trait (the hook contract), the
-//!   construction-time registry `build_model`, and the closed-world
-//!   `ModelDispatch` enum the hot path runs on.
+//! * [`model`] — the `PersistencyModel` trait (the hook contract) and
+//!   the closed-world `ModelDispatch` enum the engine runs on.
 //! * `baseline` / `hops` / `asap` / `eadr_bbb` — one implementation per
 //!   design, holding that design's private per-core state (baseline's
 //!   dirty sets, HOPS' global timestamps and poll flags, ASAP's
@@ -49,8 +48,8 @@
 //! The engine never branches on [`ModelKind`]; dispatch is fixed when
 //! [`SimBuilder::build`] resolves the kind. The run loop is generic over
 //! the model and instantiated with `ModelDispatch`, so every protocol
-//! hook is a visible five-way branch rather than a vtable call — the
-//! open `dyn PersistencyModel` registry remains the extension seam.
+//! hook is a visible five-way branch rather than a vtable call. A new
+//! design is one more trait implementation plus one more enum arm.
 
 mod asap;
 mod baseline;
@@ -66,36 +65,10 @@ pub use collect::{BoundaryKind, CrashPoints, KeyMask};
 use crate::ops::ThreadProgram;
 use crate::oracle::{self, CrashReport, OracleError};
 use asap_pm_mem::{NvmImage, PmSpace};
-use asap_sim_core::{
-    Cycle, Flavor, ModelKind, QueueKind, Sampler, SimConfig, Stats, TraceRecord, Tracer,
-};
+use asap_sim_core::{Cycle, Flavor, ModelKind, Sampler, SimConfig, Stats, TraceRecord, Tracer};
 use engine::{Engine, Event};
 use model::{ModelDispatch, PersistencyModel};
 use std::io::Write;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Process-wide default [`QueueKind`] for sims that do not pick one
-/// explicitly ([`SimBuilder::queue_kind`]). Binaries set this once from
-/// `--queue` / `ASAP_QUEUE` before building sims; the initial value is
-/// [`QueueKind::Sharded`].
-static DEFAULT_QUEUE: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide default event-queue implementation.
-pub fn set_default_queue_kind(kind: QueueKind) {
-    let v = match kind {
-        QueueKind::Sharded => 0,
-        QueueKind::Heap => 1,
-    };
-    DEFAULT_QUEUE.store(v, Ordering::Relaxed);
-}
-
-/// The process-wide default event-queue implementation.
-pub fn default_queue_kind() -> QueueKind {
-    match DEFAULT_QUEUE.load(Ordering::Relaxed) {
-        1 => QueueKind::Heap,
-        _ => QueueKind::Sharded,
-    }
-}
 
 /// Summary of a completed (or truncated) run.
 #[derive(Debug, Clone)]
@@ -117,7 +90,6 @@ pub struct SimBuilder {
     journal: bool,
     tracer: Option<Box<dyn Tracer>>,
     sample: Option<(Cycle, Box<dyn Write + Send>)>,
-    queue: Option<QueueKind>,
     collect: bool,
 }
 
@@ -133,18 +105,8 @@ impl SimBuilder {
             journal: false,
             tracer: None,
             sample: None,
-            queue: None,
             collect: false,
         }
-    }
-
-    /// Select the event-queue implementation (default: the process-wide
-    /// default, see [`set_default_queue_kind`]). Dispatch order — and
-    /// therefore every simulated result — is identical either way; this
-    /// is the `--queue=sharded|heap` bisection hatch.
-    pub fn queue_kind(mut self, kind: QueueKind) -> SimBuilder {
-        self.queue = Some(kind);
-        self
     }
 
     /// Add one thread program (one core).
@@ -220,7 +182,6 @@ impl SimBuilder {
             self.journal,
             model.uses_pb(),
             model.wants_background_flush(),
-            self.queue.unwrap_or_else(default_queue_kind),
         );
         if let Some(tracer) = self.tracer {
             engine.tracer = tracer;
@@ -555,7 +516,6 @@ impl Sim {
 
 #[cfg(test)]
 mod tests {
-    use super::model::build_model;
     use super::*;
     use crate::ops::{BurstCtx, BurstStatus, ThreadProgram};
     use asap_sim_core::ThreadId;
@@ -599,133 +559,25 @@ mod tests {
         ]
     }
 
-    /// Run the engine through the open `dyn PersistencyModel` registry,
-    /// mirroring what `SimBuilder::build` does with `ModelDispatch`.
-    fn run_dyn(kind: ModelKind, flavor: Flavor) -> (Cycle, String) {
-        let mut cfg = SimConfig::paper();
-        let programs = programs();
-        cfg.num_cores = programs.len();
-        let mut model = build_model(kind, cfg.num_cores);
-        let mut engine = Engine::new(
-            cfg,
-            flavor,
-            programs,
-            false,
-            model.uses_pb(),
-            model.wants_background_flush(),
-            default_queue_kind(),
-        );
-        engine.run_until(model.as_mut(), None);
-        (engine.now, format!("{:?}", engine.stats))
-    }
-
-    fn run_enum(kind: ModelKind, flavor: Flavor) -> (Cycle, String) {
-        let mut sim = SimBuilder::new(SimConfig::paper(), kind, flavor)
-            .programs(programs())
-            .build();
-        sim.run_to_completion();
-        (sim.now(), format!("{:?}", sim.stats()))
-    }
-
-    /// The enum fast path and the boxed trait-object registry must be
-    /// indistinguishable: same cycles, same full stats block, for every
-    /// model under both persistency flavours.
+    /// A sampler observes only: its `Sample` events reschedule through
+    /// the queue interleaved with same-cycle core and MC events, yet the
+    /// run's end time and full stats block match the unsampled run.
     #[test]
-    fn dispatch_parity_dyn_vs_enum() {
-        for kind in [
-            ModelKind::Baseline,
-            ModelKind::Hops,
-            ModelKind::Asap,
-            ModelKind::Eadr,
-            ModelKind::Bbb,
-        ] {
-            for flavor in [Flavor::Release, Flavor::Epoch] {
-                let (dyn_cycles, dyn_stats) = run_dyn(kind, flavor);
-                let (enum_cycles, enum_stats) = run_enum(kind, flavor);
-                assert_eq!(dyn_cycles, enum_cycles, "{kind}/{flavor:?} cycles");
-                assert_eq!(dyn_stats, enum_stats, "{kind}/{flavor:?} stats");
-            }
-        }
-    }
-
-    /// Both queue implementations must produce identical simulations —
-    /// the `--queue` flag is a bisection hatch, not a behaviour knob.
-    #[test]
-    fn queue_parity_sharded_vs_heap() {
-        for kind in [ModelKind::Baseline, ModelKind::Hops, ModelKind::Asap] {
-            let run = |qk: QueueKind| {
-                let mut sim = SimBuilder::new(SimConfig::paper(), kind, Flavor::Release)
-                    .programs(programs())
-                    .queue_kind(qk)
-                    .build();
-                sim.run_to_completion();
-                (sim.now(), format!("{:?}", sim.stats()))
-            };
-            assert_eq!(run(QueueKind::Sharded), run(QueueKind::Heap), "{kind}");
-        }
-    }
-
-    /// `Event::Sample` reschedules itself through the queue (always on
-    /// shard 0) interleaved with same-cycle core and MC events on other
-    /// shards; with a sampler attached, the emitted CSV row stream and
-    /// the simulated outcome must be identical on both queue
-    /// implementations.
-    #[test]
-    fn sampler_rescheduling_is_queue_invariant() {
-        use std::sync::{Arc, Mutex};
-        #[derive(Clone)]
-        struct Sink(Arc<Mutex<Vec<u8>>>);
-        impl Write for Sink {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let run = |qk: QueueKind| {
-            let sink = Sink(Arc::new(Mutex::new(Vec::new())));
-            let mut sim = SimBuilder::new(SimConfig::paper(), ModelKind::Asap, Flavor::Release)
+    fn sampler_observes_only() {
+        let builder = || {
+            SimBuilder::new(SimConfig::paper(), ModelKind::Asap, Flavor::Release)
                 .programs(programs())
-                .queue_kind(qk)
-                .sample(Cycle(64), Box::new(sink.clone()))
-                .build();
-            sim.run_to_completion();
-            let csv = String::from_utf8(sink.0.lock().unwrap().clone()).expect("utf8 csv");
-            (sim.now(), csv, format!("{:?}", sim.stats()))
         };
-        let sharded = run(QueueKind::Sharded);
-        let heap = run(QueueKind::Heap);
-        assert!(
-            sharded.1.lines().count() > 2,
-            "sampler produced no rows:\n{}",
-            sharded.1
+        let sink = asap_sim_core::SharedBuf::default();
+        let mut sampled = builder().sample(Cycle(64), Box::new(sink.clone())).build();
+        sampled.run_to_completion();
+        let mut plain = builder().build();
+        plain.run_to_completion();
+        let csv = sink.contents_string();
+        assert!(csv.lines().count() > 2, "sampler produced no rows:\n{csv}");
+        assert_eq!(
+            (sampled.now(), format!("{:?}", sampled.stats())),
+            (plain.now(), format!("{:?}", plain.stats()))
         );
-        assert_eq!(sharded, heap);
-    }
-
-    /// A mid-run crash freezes the machine with events still pending on
-    /// every shard; the crash/recovery path (WPQ drain, recovery-table
-    /// undo, oracle check) must report identically however those events
-    /// were sharded.
-    #[test]
-    fn crash_recovery_is_queue_invariant() {
-        let run = |qk: QueueKind| {
-            let mut sim = SimBuilder::new(SimConfig::paper(), ModelKind::Asap, Flavor::Release)
-                .programs(programs())
-                .with_journal()
-                .queue_kind(qk)
-                .build();
-            let report = sim.crash_at(Cycle(400)).expect("journal enabled");
-            (
-                format!("{report:?}"),
-                sim.now(),
-                format!("{:?}", sim.stats()),
-            )
-        };
-        let sharded = run(QueueKind::Sharded);
-        let heap = run(QueueKind::Heap);
-        assert_eq!(sharded, heap);
     }
 }

@@ -18,18 +18,14 @@
 //!   phase from the counting global allocator.
 //!
 //! ```text
-//! sweep_bench [--quick] [--threads N] [--out PATH] [--queue sharded|heap]
-//!             [--cache-dir DIR]
+//! sweep_bench [--quick] [--threads N] [--out PATH] [--cache-dir DIR]
 //! ```
 //!
 //! `--quick` uses the tests' quick scale (CI exercises the parallel
 //! path on every push without paying paper-scale minutes); the default
 //! is paper scale. The shared sweep flags (`--threads`/`--workers`,
-//! `--queue`/`ASAP_QUEUE`, `--progress`) parse through
-//! [`asap_harness::args::SweepArgs`] exactly as in the figure binaries.
-//! `--queue` selects the event-queue implementation for every
-//! simulation in the sweep — dispatch order is identical either way, so
-//! this only moves wall clock.
+//! `--progress`) parse through [`asap_harness::args::SweepArgs`] exactly
+//! as in the figure binaries.
 //!
 //! `--cache-dir DIR` adds a fourth timed phase: store every parallel
 //! outcome into the digest-keyed outcome cache, then replay the whole
@@ -104,12 +100,9 @@ fn pool_audit(scale: ExperimentScale) -> (u64, u64, u64) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = has_flag(&args, "--quick");
-    // Shared sweep flags (`--threads`/`--workers`, `--queue` beating
-    // `ASAP_QUEUE`, `--progress`) parse and install through the one
-    // SweepArgs path the figure binaries use. The queue kind is
-    // recorded in the JSON so archived numbers are attributable.
+    // Shared sweep flags (`--threads`/`--workers`, `--progress`) parse
+    // and install through the one SweepArgs path the figure binaries use.
     let sa = SweepArgs::init();
-    let queue_kind = asap_core::default_queue_kind();
     let out_path = arg(&args, "--out").unwrap_or_else(|| "BENCH_sweep.json".into());
     let (scale_name, scale) = if quick {
         ("quick", ExperimentScale::quick())
@@ -236,7 +229,6 @@ fn main() {
             "{{\n",
             "  \"bench\": \"fig08_sweep\",\n",
             "  \"scale\": \"{scale_name}\",\n",
-            "  \"queue\": \"{queue_kind}\",\n",
             "  \"sims\": {sims},\n",
             "  \"workers\": {workers},\n",
             "  \"workload_gen_ms\": {gen:.3},\n",
@@ -253,7 +245,6 @@ fn main() {
             "}}\n"
         ),
         scale_name = scale_name,
-        queue_kind = queue_kind,
         sims = specs.len(),
         workers = workers,
         gen = t_gen.as_secs_f64() * 1e3,

@@ -66,39 +66,6 @@ where
     parse_arg(args, name).unwrap_or(default)
 }
 
-/// Parse environment variable `name`. `Ok(None)` when unset or empty;
-/// an error message when the value does not parse. Same strictness
-/// contract as [`try_parse_arg`]: a malformed value must never silently
-/// fall back to a default.
-pub fn try_parse_env<T: FromStr>(name: &str) -> Result<Option<T>, String>
-where
-    T::Err: Display,
-{
-    match std::env::var(name) {
-        Err(_) => Ok(None),
-        Ok(v) if v.is_empty() => Ok(None),
-        Ok(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|e| format!("invalid value '{v}' for ${name}: {e}")),
-    }
-}
-
-/// Parse environment variable `name`, exiting with status 2 and a
-/// diagnostic on a malformed value. Unset or empty → `None`.
-pub fn parse_env<T: FromStr>(name: &str) -> Option<T>
-where
-    T::Err: Display,
-{
-    match try_parse_env(name) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// One slice of a sweep for cross-machine sharding: shard `index` of
 /// `of` owns the legs whose index is `index (mod of)`. Parsed from the
 /// CLI as `i/n` (e.g. `--shard 0/2`).
@@ -138,15 +105,13 @@ impl FromStr for Shard {
 }
 
 /// The sweep-wide flag set shared by every harness (and bench) binary,
-/// replacing the per-binary copies of `--threads`/`--workers`/`--queue`
-/// parsing:
+/// replacing the per-binary copies of `--threads`/`--workers` parsing:
 ///
 /// | flag | effect |
 /// |---|---|
 /// | `--full` | paper-scale run (default: quick) |
 /// | `--seed N` | RNG seed override |
 /// | `--workers N` / `--threads N` | pin the per-process worker pool |
-/// | `--queue sharded\|heap` | event-queue kind (or `ASAP_QUEUE`) |
 /// | `--progress` | stderr `N/M jobs, ETA …` line |
 /// | `--procs N` | fan the sweep over N worker processes |
 /// | `--chunk N` | legs per work-stealing chunk (default 4) |
@@ -156,8 +121,8 @@ impl FromStr for Shard {
 ///
 /// Malformed values exit with status 2 ([`parse_arg`]'s contract);
 /// `--resume` without `--cache-dir` is an error. [`SweepArgs::apply`]
-/// installs the process-global settings (worker override, queue kind,
-/// progress); [`SweepArgs::init`] is the one-call form the binaries use.
+/// installs the process-global settings (worker override, progress);
+/// [`SweepArgs::init`] is the one-call form the binaries use.
 #[derive(Debug, Clone)]
 pub struct SweepArgs {
     /// Paper-scale run requested (`--full`).
@@ -166,8 +131,6 @@ pub struct SweepArgs {
     pub seed: Option<u64>,
     /// Per-process worker-pool pin (`--workers` / `--threads`).
     pub workers: Option<usize>,
-    /// Event-queue kind (`--queue` / `ASAP_QUEUE`).
-    pub queue: Option<asap_sim_core::QueueKind>,
     /// Progress reporting (`--progress`).
     pub progress: bool,
     /// Worker-process count for the multi-process executor (`--procs`).
@@ -194,7 +157,6 @@ impl SweepArgs {
             full: has_flag(argv, "--full"),
             seed: parse_arg(argv, "--seed"),
             workers: parse_arg(argv, "--workers").or_else(|| parse_arg(argv, "--threads")),
-            queue: parse_arg(argv, "--queue").or_else(|| parse_env("ASAP_QUEUE")),
             progress: has_flag(argv, "--progress"),
             procs: parse_arg_or(argv, "--procs", 1usize),
             chunk: parse_arg_or(argv, "--chunk", 4usize),
@@ -218,14 +180,11 @@ impl SweepArgs {
         sa
     }
 
-    /// Install the process-global settings: worker-pool pin, event-queue
-    /// kind, progress toggle.
+    /// Install the process-global settings: worker-pool pin, progress
+    /// toggle.
     pub fn apply(&self) {
         if let Some(n) = self.workers {
             crate::pool::set_worker_override(n);
-        }
-        if let Some(kind) = self.queue {
-            asap_core::set_default_queue_kind(kind);
         }
         if self.progress {
             crate::pool::set_progress(true);
@@ -356,24 +315,6 @@ mod tests {
         let args = argv(&["prog", "--threads"]);
         let err = try_parse_arg::<usize>(&args, "--threads").unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
-    }
-
-    #[test]
-    fn env_parsing_is_strict() {
-        // Unset → None.
-        assert_eq!(try_parse_env::<usize>("ASAP_ARGS_TEST_UNSET_VAR"), Ok(None));
-        // Set via a child-free std::env round-trip: std::env::set_var is
-        // process-global, so use a name unique to this test.
-        std::env::set_var("ASAP_ARGS_TEST_QUEUE", "7");
-        assert_eq!(try_parse_env::<usize>("ASAP_ARGS_TEST_QUEUE"), Ok(Some(7)));
-        std::env::set_var("ASAP_ARGS_TEST_QUEUE", "banana");
-        let err = try_parse_env::<usize>("ASAP_ARGS_TEST_QUEUE").unwrap_err();
-        assert!(err.contains("ASAP_ARGS_TEST_QUEUE"), "{err}");
-        assert!(err.contains("banana"), "{err}");
-        // Empty counts as unset, not as a parse error.
-        std::env::set_var("ASAP_ARGS_TEST_QUEUE", "");
-        assert_eq!(try_parse_env::<usize>("ASAP_ARGS_TEST_QUEUE"), Ok(None));
-        std::env::remove_var("ASAP_ARGS_TEST_QUEUE");
     }
 
     #[test]

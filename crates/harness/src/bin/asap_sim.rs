@@ -3,13 +3,9 @@
 //! ```text
 //! asap_sim [--workload cceh] [--model asap] [--flavor rp] [--threads 4]
 //!          [--ops 200] [--seed 42] [--zipf THETA] [--crash-at CYCLES]
-//!          [--verify] [--queue sharded|heap] [--trace] [--trace-out PATH]
+//!          [--verify] [--trace] [--trace-out PATH]
 //!          [--sample-out PATH] [--sample-every CYCLES]
 //! ```
-//!
-//! `--queue` (or the `ASAP_QUEUE` env var; the flag wins) selects the
-//! event-queue implementation — both dispatch identically, so this is a
-//! perf-bisection lever, not a semantic switch.
 //!
 //! Runs one simulation and prints the gem5-style statistics (Table VI
 //! names). With `--crash-at`, cuts power at the given cycle, runs the
@@ -65,7 +61,7 @@ fn run() -> i32 {
             "usage: asap_sim [--workload W] [--model baseline|hops|asap|eadr|bbb] \
              [--flavor ep|rp] [--threads N] [--ops N] [--seed N] \
              [--zipf THETA] [--crash-at CYCLES] [--verify] \
-             [--queue sharded|heap] [--trace] [--trace-out PATH] \
+             [--trace] [--trace-out PATH] \
              [--sample-out PATH] [--sample-every CYCLES]\n\nworkloads: {}",
             WorkloadKind::all()
                 .iter()
@@ -96,13 +92,6 @@ fn run() -> i32 {
     let zipf: Option<f64> = parse_arg(&argv, "--zipf");
     let sample_every: u64 = parse_arg_or(&argv, "--sample-every", 10_000);
     let verify = args::has_flag(&argv, "--verify");
-    // `--queue` beats `ASAP_QUEUE`; both parse strictly (exit 2 on an
-    // unknown kind). Absent → the built-in sharded default.
-    if let Some(kind) = parse_arg::<asap_core::QueueKind>(&argv, "--queue")
-        .or_else(|| args::parse_env("ASAP_QUEUE"))
-    {
-        asap_core::set_default_queue_kind(kind);
-    }
 
     let params = WorkloadParams {
         threads,

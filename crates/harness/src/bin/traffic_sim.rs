@@ -5,8 +5,7 @@
 //!             [--model baseline|hops|asap|eadr|bbb] [--flavor ep|rp] \
 //!             [--arrival fixed|poisson|bursty|diurnal] [--gap CYCLES] \
 //!             [--requests N] [--update-fraction F] [--zipf THETA] \
-//!             [--seed N] [--workers N] [--queue sharded|heap] \
-//!             [--json] [--csv] [--progress] \
+//!             [--seed N] [--workers N] [--json] [--csv] [--progress] \
 //!             [--emit-trace PATH] [--replay PATH]
 //! ```
 //!
@@ -15,8 +14,8 @@
 //! latency table: p50/p95/p99/p99.9 of the total sojourn time plus the
 //! p99 queueing-delay / service-time split, all in cycles. Every leg is
 //! deterministic and rows are assembled in input order, so the table is
-//! byte-identical at any `--workers` count and for either `--queue`
-//! kind. `--threads` is accepted as an alias of `--workers`.
+//! byte-identical at any `--workers` count. `--threads` is accepted as
+//! an alias of `--workers`.
 //!
 //! `--app`/`--model`/`--arrival`/`--gap`/`--requests` narrow the sweep
 //! to the given axis value instead of the built-in lists.
@@ -69,7 +68,7 @@ fn main() {
              [--model baseline|hops|asap|eadr|bbb] [--flavor ep|rp] \
              [--arrival fixed|poisson|bursty|diurnal] [--gap CYCLES] \
              [--requests N] [--update-fraction F] [--zipf THETA] [--seed N] \
-             [--workers N] [--queue sharded|heap] [--json] [--csv] \
+             [--workers N] [--json] [--csv] \
              [--progress] [--emit-trace PATH] [--replay PATH] \
              [--procs N] [--chunk N] [--cache-dir DIR] [--resume] [--shard i/n]"
         );

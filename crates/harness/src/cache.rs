@@ -23,23 +23,18 @@
 
 use crate::runner::{RunManifest, RunOutcome, RunSpec};
 use crate::traffic::{TrafficOutcome, TrafficSpec};
-use asap_sim_core::{Histogram, LogHistogram, Stats};
+use asap_sim_core::{fnv1a_fold, Histogram, LogHistogram, Stats, FNV_OFFSET};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// 64-bit FNV-1a over a string — the same hash family (offset basis,
-/// prime) as `SimConfig::digest`, reused for cache keys and entry
-/// checksums so the whole cache stack is zero-dependency.
+/// 64-bit FNV-1a over a string — the same digest as `SimConfig::digest`
+/// ([`asap_sim_core::fnv1a_fold`]), used for cache keys and entry
+/// checksums.
 pub fn fnv1a(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_fold(FNV_OFFSET, text.as_bytes())
 }
 
 /// Cache key of a closed-loop sweep leg. `mode` distinguishes run

@@ -66,8 +66,8 @@ pub use runner::{
 
 /// Parse the shared CLI convention of the harness binaries — one call
 /// to [`args::SweepArgs::init`], which handles `--full`, `--seed N`,
-/// `--threads N`/`--workers N` ([`pool::num_workers`]),
-/// `--queue sharded|heap`, `--progress` and the sweep-executor flags,
+/// `--threads N`/`--workers N` ([`pool::num_workers`]), `--progress`
+/// and the sweep-executor flags,
 /// then installs the process-global settings. Binaries that only need
 /// the scale (fig02–fig13) call this; binaries that also cache/fan out
 /// keep the returned [`args::SweepArgs`] via `SweepArgs::init()`.

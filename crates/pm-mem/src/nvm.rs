@@ -8,7 +8,7 @@
 //! the recovered state against the write journal.
 
 use crate::space::LineSnapshot;
-use asap_sim_core::{mix64 as mix, EpochId, LineAddr, CACHE_LINE_BYTES};
+use asap_sim_core::{fnv1a_fold, mix64 as mix, EpochId, LineAddr, CACHE_LINE_BYTES, FNV_OFFSET};
 
 /// Probe-table sentinel for an empty slot.
 const EMPTY: u32 = u32::MAX;
@@ -249,33 +249,18 @@ impl NvmImage {
     /// excluded: two images reached by different mutation *histories*
     /// but identical final contents digest equal).
     pub fn content_digest(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let step = |h: &mut u64, b: u8| {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(PRIME);
-        };
+        let mut h = FNV_OFFSET;
         for (i, (line, rec)) in self.keys.iter().zip(&self.recs).enumerate() {
-            for b in line.byte_addr().to_le_bytes() {
-                step(&mut h, b);
-            }
-            for &b in &rec.data {
-                step(&mut h, b);
-            }
-            step(&mut h, rec.seq.is_some() as u8);
-            for b in rec.seq.unwrap_or(0).to_le_bytes() {
-                step(&mut h, b);
-            }
-            step(&mut h, rec.epoch.is_some() as u8);
+            h = fnv1a_fold(h, &line.byte_addr().to_le_bytes());
+            h = fnv1a_fold(h, &rec.data);
+            h = fnv1a_fold(h, &[rec.seq.is_some() as u8]);
+            h = fnv1a_fold(h, &rec.seq.unwrap_or(0).to_le_bytes());
+            h = fnv1a_fold(h, &[rec.epoch.is_some() as u8]);
             if let Some(e) = rec.epoch {
-                for b in (e.thread.0 as u64).to_le_bytes() {
-                    step(&mut h, b);
-                }
-                for b in e.ts.to_le_bytes() {
-                    step(&mut h, b);
-                }
+                h = fnv1a_fold(h, &(e.thread.0 as u64).to_le_bytes());
+                h = fnv1a_fold(h, &e.ts.to_le_bytes());
             }
-            step(&mut h, self.preinit[i] as u8);
+            h = fnv1a_fold(h, &[self.preinit[i] as u8]);
         }
         h
     }

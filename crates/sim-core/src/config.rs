@@ -258,12 +258,7 @@ impl SimConfig {
     /// add or rename fields (which is the point — a changed
     /// configuration shape yields a new digest).
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in format!("{self:?}").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        crate::fnv1a_fold(crate::FNV_OFFSET, format!("{self:?}").as_bytes())
     }
 }
 

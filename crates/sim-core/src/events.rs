@@ -68,61 +68,6 @@ fn sift_down<E>(heap: &mut [(u128, E)], mut i: usize) {
     }
 }
 
-#[inline]
-fn heap_push<E>(heap: &mut Vec<(u128, E)>, key: u128, event: E) {
-    heap.push((key, event));
-    let last = heap.len() - 1;
-    sift_up(heap, last);
-}
-
-#[inline]
-fn heap_pop<E>(heap: &mut Vec<(u128, E)>) -> Option<(u128, E)> {
-    if heap.is_empty() {
-        return None;
-    }
-    let last = heap.len() - 1;
-    heap.swap(0, last);
-    let out = heap.pop().expect("non-empty");
-    if !heap.is_empty() {
-        sift_down(heap, 0);
-    }
-    Some(out)
-}
-
-/// Which event-queue implementation the engine runs on — the escape
-/// hatch for bisecting queue regressions without rebuilding
-/// (`--queue=sharded|heap` / `ASAP_QUEUE`). Both produce bit-identical
-/// dispatch order; they differ only in wall-clock cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Per-component shards with a min-of-shards merge (the default).
-    #[default]
-    Sharded,
-    /// The single global 4-ary heap.
-    Heap,
-}
-
-impl std::str::FromStr for QueueKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<QueueKind, String> {
-        match s {
-            "sharded" => Ok(QueueKind::Sharded),
-            "heap" => Ok(QueueKind::Heap),
-            other => Err(format!("unknown queue kind '{other}' (sharded|heap)")),
-        }
-    }
-}
-
-impl std::fmt::Display for QueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            QueueKind::Sharded => "sharded",
-            QueueKind::Heap => "heap",
-        })
-    }
-}
-
 /// A priority queue of `(Cycle, E)` pairs with deterministic FIFO ordering
 /// among same-cycle events.
 ///
@@ -169,12 +114,21 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Cycle, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        heap_push(&mut self.heap, pack(at, seq), event);
+        self.heap.push((pack(at, seq), event));
+        let last = self.heap.len() - 1;
+        sift_up(&mut self.heap, last);
     }
 
     /// Remove and return the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        heap_pop(&mut self.heap).map(|(key, event)| (unpack_time(key), event))
+        if self.heap.is_empty() {
+            return None;
+        }
+        let last = self.heap.len() - 1;
+        self.heap.swap(0, last);
+        let (key, event) = self.heap.pop().expect("non-empty");
+        sift_down(&mut self.heap, 0);
+        Some((unpack_time(key), event))
     }
 
     /// Time of the earliest pending event, if any.
@@ -208,159 +162,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.heap.len())
-            .field("next_time", &self.peek_time())
-            .finish()
-    }
-}
-
-/// A sharded timed event queue: one small 4-ary heap per shard plus a
-/// min-of-shards merge on `pop`/`peek_time`.
-///
-/// The sequence counter is **global across shards**, so every pending
-/// event carries a globally unique packed `(time, seq)` key and the
-/// min-of-shards merge reproduces the exact total order of a single
-/// [`EventQueue`] — regardless of shard count or how pushes are routed.
-/// What sharding buys is locality: each component's events sift through
-/// a heap a fraction of the global population's size, and the merge
-/// front (one head per shard) stays cache-resident.
-///
-/// # Example
-///
-/// ```
-/// use asap_sim_core::{Cycle, ShardedEventQueue};
-///
-/// let mut q = ShardedEventQueue::new(3);
-/// q.push(2, Cycle(7), 'b');
-/// q.push(0, Cycle(3), 'a');
-/// q.push(1, Cycle(7), 'c'); // same cycle as 'b', pushed later
-/// assert_eq!(q.pop(), Some((Cycle(3), 'a')));
-/// assert_eq!(q.pop(), Some((Cycle(7), 'b')));
-/// assert_eq!(q.pop(), Some((Cycle(7), 'c')));
-/// assert_eq!(q.pop(), None);
-/// ```
-pub struct ShardedEventQueue<E> {
-    shards: Vec<Vec<(u128, E)>>,
-    /// `heads[s]` mirrors the root key of `shards[s]` (`u128::MAX` when
-    /// the shard is empty): the merge front as one contiguous array.
-    /// `pop`/`peek_time` scan ≤ a cache line of keys instead of chasing
-    /// every shard heap's root pointer — the difference between the
-    /// merge being free and it dominating the pop cost.
-    heads: Vec<u128>,
-    next_seq: u64,
-    len: usize,
-}
-
-/// Head sentinel for an empty shard — above any packable key.
-const NO_HEAD: u128 = u128::MAX;
-
-impl<E> ShardedEventQueue<E> {
-    /// Create a queue with `num_shards` empty shards (at least one).
-    pub fn new(num_shards: usize) -> ShardedEventQueue<E> {
-        ShardedEventQueue::with_capacity(num_shards, 0)
-    }
-
-    /// Create a queue with `num_shards` shards pre-sized to `cap` total
-    /// pending events (split evenly), so the steady-state population
-    /// never re-grows a backing store.
-    pub fn with_capacity(num_shards: usize, cap: usize) -> ShardedEventQueue<E> {
-        let n = num_shards.max(1);
-        let per = cap.div_ceil(n);
-        ShardedEventQueue {
-            shards: (0..n).map(|_| Vec::with_capacity(per)).collect(),
-            heads: vec![NO_HEAD; n],
-            next_seq: 0,
-            len: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Schedule `event` to fire at absolute time `at` on `shard`
-    /// (indices wrap, so any deterministic routing is valid; in-range
-    /// shards — the steady state — skip the wrap division entirely).
-    pub fn push(&mut self, shard: usize, at: Cycle, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let s = if shard < self.shards.len() {
-            shard
-        } else {
-            shard % self.shards.len()
-        };
-        let key = pack(at, seq);
-        heap_push(&mut self.shards[s], key, event);
-        if key < self.heads[s] {
-            self.heads[s] = key;
-        }
-        self.len += 1;
-    }
-
-    /// The shard whose head carries the globally smallest key, if any.
-    /// Keys are globally unique (one seq counter), so the minimum is
-    /// unambiguous.
-    #[inline]
-    fn min_shard(&self) -> Option<usize> {
-        let mut s = 0;
-        let mut best = self.heads[0];
-        for (i, &k) in self.heads.iter().enumerate().skip(1) {
-            if k < best {
-                best = k;
-                s = i;
-            }
-        }
-        (best != NO_HEAD).then_some(s)
-    }
-
-    /// Remove and return the earliest event across all shards, or
-    /// `None` if empty.
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let s = self.min_shard()?;
-        let (key, event) = heap_pop(&mut self.shards[s]).expect("head seen");
-        self.heads[s] = self.shards[s].first().map_or(NO_HEAD, |&(k, _)| k);
-        self.len -= 1;
-        Some((unpack_time(key), event))
-    }
-
-    /// Time of the earliest pending event across all shards, if any.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        let &key = self.heads.iter().min().expect("at least one shard");
-        (key != NO_HEAD).then(|| unpack_time(key))
-    }
-
-    /// Total number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending on any shard.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drop all pending events, keeping every shard's allocation (and
-    /// the global sequence counter, so FIFO ordering stays well-defined
-    /// across the clear).
-    pub fn clear(&mut self) {
-        for s in &mut self.shards {
-            s.clear();
-        }
-        self.heads.fill(NO_HEAD);
-        self.len = 0;
-    }
-
-    /// Total allocated capacity across shards.
-    pub fn capacity(&self) -> usize {
-        self.shards.iter().map(|s| s.capacity()).sum()
-    }
-}
-
-impl<E> std::fmt::Debug for ShardedEventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedEventQueue")
-            .field("shards", &self.shards.len())
-            .field("pending", &self.len)
             .field("next_time", &self.peek_time())
             .finish()
     }
@@ -480,114 +281,6 @@ mod tests {
     #[test]
     fn debug_is_nonempty() {
         let q: EventQueue<u8> = EventQueue::new();
-        assert!(!format!("{:?}", q).is_empty());
-    }
-
-    #[test]
-    fn sharded_orders_across_shards() {
-        let mut q = ShardedEventQueue::new(4);
-        q.push(3, Cycle(30), 3);
-        q.push(0, Cycle(10), 1);
-        q.push(2, Cycle(20), 2);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(Cycle(10)));
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 3);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_fifo_within_same_cycle_across_shards() {
-        // Same-cycle events landing on *different* shards must still pop
-        // in push order: the global seq counter makes keys unique.
-        let mut q = ShardedEventQueue::new(8);
-        for i in 0..100usize {
-            q.push(i % 8, Cycle(5), i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.pop().unwrap().1, i);
-        }
-    }
-
-    #[test]
-    fn sharded_clear_keeps_capacity_and_seq() {
-        let mut q = ShardedEventQueue::with_capacity(4, 64);
-        let cap = q.capacity();
-        assert!(cap >= 64);
-        q.push(0, Cycle(3), 'x');
-        q.push(1, Cycle(1), 'y');
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.capacity(), cap);
-        q.push(2, Cycle(5), 'a');
-        q.push(3, Cycle(5), 'b');
-        assert_eq!(q.pop().unwrap().1, 'a');
-        assert_eq!(q.pop().unwrap().1, 'b');
-    }
-
-    #[test]
-    fn sharded_shard_index_wraps() {
-        let mut q = ShardedEventQueue::new(2);
-        q.push(7, Cycle(1), 'a'); // 7 % 2 == shard 1
-        assert_eq!(q.pop(), Some((Cycle(1), 'a')));
-        let z: ShardedEventQueue<u8> = ShardedEventQueue::new(0);
-        assert_eq!(z.num_shards(), 1, "zero shards clamps to one");
-    }
-
-    /// Property test: any deterministic push/pop interleaving pops in
-    /// the identical (cycle, seq) order on the single 4-ary heap and on
-    /// the sharded queue, for every shard count 1..=8 — the invariant
-    /// that makes the sharded engine byte-identical to the heap engine.
-    #[test]
-    fn sharded_matches_heap_for_all_shard_counts() {
-        for shards in 1..=8usize {
-            let mut heap = EventQueue::new();
-            let mut sharded = ShardedEventQueue::new(shards);
-            let mut x = 0xdeadbeefcafef00du64 ^ shards as u64;
-            let mut popped_heap = Vec::new();
-            let mut popped_sharded = Vec::new();
-            for i in 0..2000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let t = x % 53; // dense cycle range: many same-cycle ties
-                heap.push(Cycle(t), i);
-                sharded.push((x >> 32) as usize % shards, Cycle(t), i);
-                if x.is_multiple_of(3) {
-                    popped_heap.push(heap.pop());
-                    popped_sharded.push(sharded.pop());
-                }
-            }
-            loop {
-                let (a, b) = (heap.pop(), sharded.pop());
-                popped_heap.push(a);
-                popped_sharded.push(b);
-                if popped_heap.last().unwrap().is_none() {
-                    break;
-                }
-            }
-            assert_eq!(
-                popped_heap, popped_sharded,
-                "pop order diverged at {shards} shards"
-            );
-        }
-    }
-
-    #[test]
-    fn queue_kind_parses_strictly() {
-        assert_eq!("sharded".parse(), Ok(QueueKind::Sharded));
-        assert_eq!("heap".parse(), Ok(QueueKind::Heap));
-        let err = "calendar".parse::<QueueKind>().unwrap_err();
-        assert!(err.contains("calendar"), "{err}");
-        assert_eq!(QueueKind::default(), QueueKind::Sharded);
-        assert_eq!(QueueKind::Sharded.to_string(), "sharded");
-        assert_eq!(QueueKind::Heap.to_string(), "heap");
-    }
-
-    #[test]
-    fn sharded_debug_is_nonempty() {
-        let q: ShardedEventQueue<u8> = ShardedEventQueue::new(3);
         assert!(!format!("{:?}", q).is_empty());
     }
 }

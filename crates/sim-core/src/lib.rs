@@ -18,6 +18,7 @@
 //!   traffic frontend's percentile tables.
 //! * [`DetRng`] — a seeded deterministic random number generator so every
 //!   experiment is exactly reproducible.
+//! * [`fnv1a_fold`] — the 64-bit FNV-1a digest every crate shares.
 //! * [`LineTable`] — per-run address interning ([`LineAddr`] →
 //!   dense [`LineIdx`]) so hot per-line state can live in flat vectors
 //!   with deterministic first-touch iteration order.
@@ -46,6 +47,7 @@
 
 mod config;
 mod events;
+mod fnv;
 mod hist;
 mod ids;
 mod intern;
@@ -56,7 +58,8 @@ mod time;
 mod trace;
 
 pub use config::{ConfigError, Flavor, ModelKind, SimConfig, SimConfigBuilder};
-pub use events::{EventQueue, QueueKind, ShardedEventQueue};
+pub use events::EventQueue;
+pub use fnv::{fnv1a_fold, FNV_OFFSET};
 pub use hist::{LatencySplit, LogHistogram};
 pub use ids::{EpochId, LineAddr, McId, ThreadId, CACHE_LINE_BYTES, CACHE_LINE_SHIFT};
 pub use intern::{mix64, LineIdx, LineTable};

@@ -359,12 +359,7 @@ pub fn init_once<F: FnOnce(&mut BurstCtx<'_>)>(ctx: &mut BurstCtx<'_>, flag_addr
 
 /// FNV-1a hash for key placement (cheap and deterministic).
 pub fn fnv1a(key: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    asap_sim_core::fnv1a_fold(asap_sim_core::FNV_OFFSET, &key.to_le_bytes())
 }
 
 #[cfg(test)]
