@@ -1,13 +1,13 @@
 //! Benches regenerating every figure of the paper's evaluation at a
-//! reduced (bench-friendly) scale. Each bench body *is* the full
-//! experiment for that figure; the printed tables for EXPERIMENTS.md come
-//! from the `asap-harness` binaries at `--full` scale.
+//! reduced (bench-friendly) scale: one bench per
+//! [`asap_harness::experiments::FIGURES`] entry, each body the full
+//! in-process sweep for that figure. The printed tables for
+//! EXPERIMENTS.md come from `asap_sweep <name> --full`.
 
 use asap_bench::Bench;
-use asap_harness::experiments::{
-    fig02_epochs, fig03_pb_stalls, fig08_performance, fig09_writes, fig10_scaling,
-    fig11_pb_occupancy, fig12_rt_occupancy, fig13_bandwidth, ExperimentScale,
-};
+use asap_harness::args::SweepArgs;
+use asap_harness::exec::sweep_figure;
+use asap_harness::experiments::{ExperimentScale, FIGURES};
 use asap_harness::hwcost;
 use asap_sim_core::Cycle;
 
@@ -21,14 +21,10 @@ fn bench_scale() -> ExperimentScale {
 
 fn main() {
     let b = Bench::new().sample_size(10);
-    b.run("fig02_epochs", || fig02_epochs(bench_scale()));
-    b.run("fig03_pb_stalls", || fig03_pb_stalls(bench_scale()));
-    b.run("fig08_performance", || fig08_performance(bench_scale()));
-    b.run("fig09_writes", || fig09_writes(bench_scale()));
-    b.run("fig10_scaling", || fig10_scaling(bench_scale()));
-    b.run("fig11_pb_occupancy", || fig11_pb_occupancy(bench_scale()));
-    b.run("fig12_rt_occupancy", || fig12_rt_occupancy(bench_scale()));
-    b.run("fig13_bandwidth", || fig13_bandwidth(bench_scale()));
+    let sa = SweepArgs::default();
+    for fig in &FIGURES {
+        b.run(fig.name, || sweep_figure(fig, bench_scale(), &sa));
+    }
     b.run("tab05_hwcost", || {
         (hwcost::table5(), hwcost::drain_comparison(32))
     });

@@ -25,7 +25,7 @@
 //! path on every push without paying paper-scale minutes); the default
 //! is paper scale. The shared sweep flags (`--threads`/`--workers`,
 //! `--progress`) parse through [`asap_harness::args::SweepArgs`] exactly
-//! as in the figure binaries.
+//! as in `asap_sweep`.
 //!
 //! `--cache-dir DIR` adds a fourth timed phase: store every parallel
 //! outcome into the digest-keyed outcome cache, then replay the whole
@@ -101,7 +101,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = has_flag(&args, "--quick");
     // Shared sweep flags (`--threads`/`--workers`, `--progress`) parse
-    // and install through the one SweepArgs path the figure binaries use.
+    // and install through the one SweepArgs path `asap_sweep` uses.
     let sa = SweepArgs::init();
     let out_path = arg(&args, "--out").unwrap_or_else(|| "BENCH_sweep.json".into());
     let (scale_name, scale) = if quick {

@@ -9,7 +9,7 @@
 //! benchmark:
 //!
 //! ```text
-//! fig08_performance            median 12.31ms  mean 12.40ms  min 12.11ms  (10 samples)
+//! fig08                        median 12.31ms  mean 12.40ms  min 12.11ms  (10 samples)
 //! ```
 
 // The counting global allocator (alloc-count feature) is the one place

@@ -1,41 +1,49 @@
-//! `asap_sweep`: the incremental, resumable, multi-process sweep
-//! coordinator.
+//! `asap_sweep`: regenerates any figure of the evaluation, or the
+//! traffic sweep, through the incremental, resumable sweep executor.
 //!
 //! ```text
-//! asap_sweep <fig08|traffic> [--full] [--seed N] [--ops N] [--requests N]
-//!            [--gap CYCLES] [--workers N] [--procs N] [--chunk N]
-//!            [--cache-dir DIR] [--resume] [--shard i/n] [--progress]
-//!            [--csv] [--cache-stats PATH]
+//! asap_sweep <fig02|fig03|fig08|fig09|fig10|fig11|fig12|fig13|ablations|traffic>
+//!            [--full] [--seed N] [--ops N] [--requests N] [--gap CYCLES]
+//!            [--workers N] [--cache-dir DIR] [--resume] [--shard i/n]
+//!            [--progress] [--csv] [--cache-stats PATH]
 //! ```
 //!
-//! Runs the named sweep through the executor layer
+//! A figure name selects an entry of the
+//! [`asap_harness::experiments::FIGURES`] registry; `--ops N` overrides
+//! its ops per thread. Every sweep runs through the executor layer
 //! ([`asap_harness::exec`]): with `--cache-dir`, completed legs persist
 //! to a digest-keyed outcome cache and re-runs only simulate changed
-//! legs; with `--procs N`, legs fan out over N worker processes (this
-//! same binary, re-executed with an internal flag) over a
-//! work-stealing chunk queue; `--resume` continues a killed sweep;
-//! `--shard i/n` runs one machine's slice. However the legs were
-//! executed — pooled, multi-process, cached, resumed — the table on
-//! stdout is byte-identical, because results assemble in input order
-//! and cached outcomes decode exactly.
+//! legs (figures that share legs share cache entries); `--resume`
+//! continues a killed sweep; `--shard i/n` runs one machine's slice.
+//! However the legs were executed — pooled, cached, resumed — the
+//! tables on stdout are byte-identical, because results assemble in
+//! input order and cached outcomes decode exactly.
 //!
 //! The sweep report (leg counts, cache hits, wall time) goes to stderr;
 //! `--cache-stats PATH` additionally writes it as JSON for CI gates.
-//! Under `--shard` the table is suppressed (legs are missing by
+//! Under `--shard` the tables are suppressed (legs are missing by
 //! design): run every shard into a shared `--cache-dir`, then assemble
 //! with a final `--resume` run.
 
 use asap_harness::args::{self, SweepArgs};
-use asap_harness::exec::{complete_outcomes, sweep_run_once, sweep_traffic, SweepReport};
-use asap_harness::experiments::{fig08_specs, fig08_summary, fig08_table_from};
+use asap_harness::exec::{complete_outcomes, sweep_figure, sweep_traffic, SweepReport};
+use asap_harness::experiments::{figure, FIGURES};
 use asap_harness::traffic::{table_from_runs, TrafficScale};
+
+/// The accepted sweep names: every registry figure, then `traffic`.
+fn known() -> String {
+    let mut names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    names.push("traffic");
+    names.join(" | ")
+}
 
 fn usage() -> ! {
     println!(
-        "usage: asap_sweep <fig08|traffic> [--full] [--seed N] [--ops N] \
+        "usage: asap_sweep <{}> [--full] [--seed N] [--ops N] \
          [--requests N] [--gap CYCLES] [--workers N] \
-         [--procs N] [--chunk N] [--cache-dir DIR] [--resume] [--shard i/n] \
-         [--progress] [--csv] [--cache-stats PATH]"
+         [--cache-dir DIR] [--resume] [--shard i/n] \
+         [--progress] [--csv] [--cache-stats PATH]",
+        known().replace(" | ", "|")
     );
     std::process::exit(0);
 }
@@ -66,56 +74,50 @@ fn main() {
     let sub = match argv.get(1) {
         Some(s) if !s.starts_with('-') => s.clone(),
         _ => {
-            eprintln!("error: asap_sweep needs a sweep name: fig08 | traffic");
+            eprintln!("error: asap_sweep needs a sweep name: {}", known());
             std::process::exit(2);
         }
     };
     let sa = SweepArgs::init();
 
-    match sub.as_str() {
-        "fig08" => {
-            let mut scale = sa.scale();
-            if let Some(ops) = args::parse_arg(&argv, "--ops") {
-                scale.ops = ops;
-            }
-            let specs = fig08_specs(scale);
-            let (results, report) = sweep_run_once("fig08", &specs, &sa);
-            if let Some(outs) = complete_outcomes(results) {
-                let t = fig08_table_from(&outs);
-                asap_harness::cli_emit(&t);
-                asap_harness::cli_emit(&fig08_summary(&t));
-            }
-            finish(&report, &argv, t0);
+    let report = if let Some(fig) = figure(&sub) {
+        let mut scale = sa.scale();
+        if let Some(ops) = args::parse_arg(&argv, "--ops") {
+            scale.ops = ops;
         }
-        "traffic" => {
-            let mut scale = if sa.full {
-                TrafficScale::full()
-            } else {
-                TrafficScale::quick()
-            };
-            if let Some(s) = sa.seed {
-                scale.seed = s;
-            }
-            if let Some(n) = args::parse_arg(&argv, "--requests") {
-                scale.requests = n;
-            }
-            if let Some(gap) = args::parse_arg::<u64>(&argv, "--gap") {
-                if gap == 0 {
-                    eprintln!("error: --gap must be at least one cycle");
-                    std::process::exit(2);
-                }
-                scale.gaps = vec![gap];
-            }
-            let specs = scale.specs();
-            let (results, report) = sweep_traffic("traffic", &specs, &sa);
-            if let Some(outs) = complete_outcomes(results) {
-                asap_harness::cli_emit(&table_from_runs(&specs, &outs));
-            }
-            finish(&report, &argv, t0);
+        let (tables, report) = sweep_figure(fig, scale, &sa);
+        for t in tables.iter().flatten() {
+            asap_harness::cli_emit(t);
         }
-        other => {
-            eprintln!("error: unknown sweep '{other}'; known: fig08 | traffic");
-            std::process::exit(2);
+        report
+    } else if sub == "traffic" {
+        let mut scale = if sa.full {
+            TrafficScale::full()
+        } else {
+            TrafficScale::quick()
+        };
+        if let Some(s) = sa.seed {
+            scale.seed = s;
         }
-    }
+        if let Some(n) = args::parse_arg(&argv, "--requests") {
+            scale.requests = n;
+        }
+        if let Some(gap) = args::parse_arg::<u64>(&argv, "--gap") {
+            if gap == 0 {
+                eprintln!("error: --gap must be at least one cycle");
+                std::process::exit(2);
+            }
+            scale.gaps = vec![gap];
+        }
+        let specs = scale.specs();
+        let (results, report) = sweep_traffic("traffic", &specs, &sa);
+        if let Some(outs) = complete_outcomes(results) {
+            asap_harness::cli_emit(&table_from_runs(&specs, &outs));
+        }
+        report
+    } else {
+        eprintln!("error: unknown sweep '{sub}'; known: {}", known());
+        std::process::exit(2);
+    };
+    finish(&report, &argv, t0);
 }

@@ -33,7 +33,7 @@
 //! slip through.
 //!
 //! Exit status: 0 clean, 1 violations or failed assertion (inverted by
-//! `--expect-violation`), 2 bad usage.
+//! `--expect-violation`), 2 bad usage or an unwritable `--json` path.
 
 use asap_analysis::explore::{
     assemble_config, pass1, verify_chunk, ChunkResult, ConfigReport, CrashSpaceReport,
@@ -332,7 +332,10 @@ fn main() {
         if path == "-" {
             println!("{}", report.to_json());
         } else {
-            std::fs::write(&path, report.to_json()).expect("write JSON report");
+            if let Err(e) = std::fs::write(&path, report.to_json()) {
+                eprintln!("error: cannot write --json {path}: {e}");
+                std::process::exit(2);
+            }
             eprintln!("# JSON report written to {path}");
         }
     }

@@ -295,6 +295,10 @@ pub fn decode_traffic(line: &str) -> Option<TrafficOutcome> {
 /// First line of every cache entry file.
 const ENTRY_HEADER: &str = "# asap-outcome v1";
 
+/// Stores started by this process: with the pid, a temp-file name no
+/// other [`OutcomeCache::store`] call shares.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Hit/miss/store counters of an [`OutcomeCache`], for reports and the
 /// CI cache-stats artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -308,10 +312,11 @@ pub struct CacheStats {
 }
 
 /// A directory of checksummed outcome entries, one file per 64-bit key
-/// (`<key:016x>.entry`). Concurrency-safe by construction: writes go to
-/// a pid-suffixed temp file then `rename` (atomic on POSIX), so a
-/// reader never observes a half-written entry and two processes
-/// storing the same key just race to an identical file.
+/// (`<key:016x>.entry`). Concurrency-safe by construction: every write
+/// goes to a temp file of its own (pid plus a process-wide counter),
+/// then `rename`s over the entry (atomic on POSIX), so a reader never
+/// observes a half-written entry and two threads or processes storing
+/// the same key just race to an identical file.
 #[derive(Debug)]
 pub struct OutcomeCache {
     dir: PathBuf,
@@ -375,9 +380,11 @@ impl OutcomeCache {
     pub fn store(&self, key: u64, payload: &str) -> io::Result<()> {
         let payload = payload.trim_end_matches('\n');
         let text = format!("{ENTRY_HEADER}\n{payload}\n# end {:016x}\n", fnv1a(payload));
-        let tmp = self
-            .dir
-            .join(format!("{key:016x}.tmp.{}", std::process::id()));
+        let tmp = self.dir.join(format!(
+            "{key:016x}.tmp.{}.{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         std::fs::write(&tmp, text)?;
         std::fs::rename(&tmp, self.entry_path(key))?;
         self.stores.fetch_add(1, Ordering::Relaxed);
@@ -509,6 +516,35 @@ mod tests {
 
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.stores), (1, 4, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_key_all_succeed() {
+        // A sweep may hold two legs with one digest (an ablation point
+        // equal to the paper config); their pool threads store the same
+        // key at once and must not share a temp file.
+        let dir = tmpdir("race");
+        let cache = OutcomeCache::open(&dir).unwrap();
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    barrier.wait();
+                    for _ in 0..50 {
+                        cache.store(0x5eed, "kind=test same=1").expect("store");
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.load(0x5eed).as_deref(), Some("kind=test same=1"));
+        assert_eq!(cache.stats().stores, 8 * 50);
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,20 +1,20 @@
-//! The figure/table regeneration functions (paper §VII).
+//! The evaluation's figures as data (paper §VII).
 //!
-//! Every function returns a [`Table`] whose rows correspond to the bars /
-//! series of the original figure. All runs are deterministic given the
-//! seed embedded in [`ExperimentScale`].
-//!
-//! Each function follows the same two-phase shape: build the flat
-//! `Vec<RunSpec>` for the whole sweep, fan it out through
-//! [`pool::par_map`], then assemble rows from the outcomes by index.
-//! Outcomes come back in spec order and each run is deterministic, so
-//! the tables are byte-identical to what the old serial loops produced.
+//! Every figure is one [`Figure`] of [`FIGURES`]: a spec builder that
+//! lays the whole sweep out as a flat `Vec<RunSpec>`, and a table
+//! builder that assembles rows from the outcomes by index. One runner,
+//! [`crate::exec::sweep_figure`], drives any entry through the sweep
+//! executor (pool, outcome cache, resume journal, shards), and
+//! `asap_sweep <name>` is its command line. Outcomes come back in spec
+//! order and each run is deterministic given the seed embedded in
+//! [`ExperimentScale`], so a figure's tables are byte-identical however
+//! its legs were executed. A new model's columns are an edit to a spec
+//! and a table builder, not a new binary.
 
-use crate::pool;
 use crate::report::{f2, Table};
-use crate::runner::{run_once, run_window, RunOutcome, RunSpec};
+use crate::runner::{run_once, RunOutcome, RunSpec};
 use asap_core::{Flavor, ModelKind};
-use asap_sim_core::{Cycle, SimConfig};
+use asap_sim_core::{Cycle, SimConfig, SimConfigBuilder};
 use asap_workloads::WorkloadKind;
 
 /// How big to run the experiments.
@@ -51,6 +51,84 @@ impl ExperimentScale {
     }
 }
 
+/// One figure (or group of tables) of the evaluation, as data.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// Registry name: the `asap_sweep` subcommand and the sweep label.
+    pub name: &'static str,
+    /// The flat leg list of the figure's sweep at a scale.
+    pub specs: fn(ExperimentScale) -> Vec<RunSpec>,
+    /// Legs run for `scale.window` cycles ([`crate::run_window`])
+    /// instead of to completion ([`run_once`]).
+    pub windowed: bool,
+    /// The figure's tables, from one outcome per leg in
+    /// [`Figure::specs`] order.
+    pub tables: fn(&[RunOutcome]) -> Vec<Table>,
+}
+
+/// Every figure of the evaluation, in paper order.
+pub static FIGURES: [Figure; 9] = [
+    Figure {
+        name: "fig02",
+        specs: fig02_specs,
+        windowed: true,
+        tables: fig02_tables,
+    },
+    Figure {
+        name: "fig03",
+        specs: fig03_specs,
+        windowed: false,
+        tables: fig03_tables,
+    },
+    Figure {
+        name: "fig08",
+        specs: fig08_specs,
+        windowed: false,
+        tables: fig08_tables,
+    },
+    Figure {
+        name: "fig09",
+        specs: hops_asap_rp_specs,
+        windowed: false,
+        tables: fig09_tables,
+    },
+    Figure {
+        name: "fig10",
+        specs: fig10_specs,
+        windowed: false,
+        tables: fig10_tables,
+    },
+    Figure {
+        name: "fig11",
+        specs: hops_asap_rp_specs,
+        windowed: false,
+        tables: fig11_tables,
+    },
+    Figure {
+        name: "fig12",
+        specs: fig12_specs,
+        windowed: false,
+        tables: fig12_tables,
+    },
+    Figure {
+        name: "fig13",
+        specs: fig13_specs,
+        windowed: false,
+        tables: fig13_tables,
+    },
+    Figure {
+        name: "ablations",
+        specs: ablation_specs,
+        windowed: false,
+        tables: ablation_tables,
+    },
+];
+
+/// The [`FIGURES`] entry called `name`.
+pub fn figure(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.name == name)
+}
+
 fn spec(
     model: ModelKind,
     flavor: Flavor,
@@ -65,6 +143,29 @@ fn spec(
         ops_per_thread: scale.ops,
         seed: scale.seed,
     }
+}
+
+/// A release-persistency leg on a paper system with `threads` cores.
+fn spec_cores(
+    model: ModelKind,
+    workload: WorkloadKind,
+    threads: usize,
+    scale: ExperimentScale,
+) -> RunSpec {
+    let mut s = spec(model, Flavor::Release, workload, scale);
+    s.config = SimConfig::builder().cores(threads).build().expect("valid");
+    s
+}
+
+/// A leg of the bandwidth microbenchmark on one core of `config`, at
+/// four times the scale's ops. One thread isolates ordering cost from
+/// raw demand (§III): with many threads every design saturates the
+/// media and the contrast vanishes.
+fn probe_spec(model: ModelKind, config: SimConfigBuilder, scale: ExperimentScale) -> RunSpec {
+    let mut s = spec(model, Flavor::Release, WorkloadKind::Bandwidth, scale);
+    s.config = config.cores(1).build().expect("valid");
+    s.ops_per_thread = scale.ops * 4;
+    s
 }
 
 /// The workload list of the figures (Table III order).
@@ -85,11 +186,28 @@ fn bar_chart_workloads() -> Vec<WorkloadKind> {
 // Figure 2
 // -------------------------------------------------------------------
 
+/// Figure 2's legs: HOPS under release and epoch persistency for every
+/// workload, each run for the measurement window. Measured under HOPS,
+/// like the paper's methodology (§III runs the dependency study with
+/// HOPS): a dependency is counted when the source epoch is still in
+/// flight, and HOPS's conservative commit timing is what exposes them.
+fn fig02_specs(scale: ExperimentScale) -> Vec<RunSpec> {
+    figure_workloads()
+        .into_iter()
+        .flat_map(|w| {
+            [
+                spec(ModelKind::Hops, Flavor::Release, w, scale).windowed(),
+                spec(ModelKind::Hops, Flavor::Epoch, w, scale).windowed(),
+            ]
+        })
+        .collect()
+}
+
 /// Figure 2: number of epochs and cross-thread dependencies within the
 /// measurement window (paper: 1 ms, 4 threads, release persistency). The
 /// EP columns are our extension showing why EP sees far more
 /// dependencies.
-pub fn fig02_epochs(scale: ExperimentScale) -> Table {
+fn fig02_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 2: epochs and cross-thread dependencies per window (4 threads)",
         &[
@@ -100,20 +218,6 @@ pub fn fig02_epochs(scale: ExperimentScale) -> Table {
             "cross_deps_ep",
         ],
     );
-    // Measured under HOPS, like the paper's methodology (§III runs the
-    // dependency study with HOPS): a dependency is counted when the
-    // source epoch is still in flight, and HOPS's conservative commit
-    // timing is what exposes them.
-    let specs: Vec<RunSpec> = figure_workloads()
-        .into_iter()
-        .flat_map(|w| {
-            [
-                spec(ModelKind::Hops, Flavor::Release, w, scale).windowed(),
-                spec(ModelKind::Hops, Flavor::Epoch, w, scale).windowed(),
-            ]
-        })
-        .collect();
-    let outs = pool::par_map(&specs, |s| run_window(s, scale.window));
     for (w, pair) in figure_workloads().iter().zip(outs.chunks_exact(2)) {
         let (rp, ep) = (&pair[0], &pair[1]);
         t.push_row(vec![
@@ -124,28 +228,30 @@ pub fn fig02_epochs(scale: ExperimentScale) -> Table {
             ep.stats.inter_t_epoch_conflict.to_string(),
         ]);
     }
-    t
+    vec![t]
 }
 
 // -------------------------------------------------------------------
 // Figure 3
 // -------------------------------------------------------------------
 
+fn fig03_specs(scale: ExperimentScale) -> Vec<RunSpec> {
+    figure_workloads()
+        .into_iter()
+        .map(|w| spec(ModelKind::Hops, Flavor::Release, w, scale))
+        .collect()
+}
+
 /// Figure 3: percentage of cycles the persist buffers are blocked from
 /// flushing under HOPS (release persistency).
-pub fn fig03_pb_stalls(scale: ExperimentScale) -> Table {
+fn fig03_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 3: % of cycles persist buffers are blocked (HOPS_RP)",
         &["workload", "blocked_pct"],
     );
-    let specs: Vec<RunSpec> = figure_workloads()
-        .into_iter()
-        .map(|w| spec(ModelKind::Hops, Flavor::Release, w, scale))
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
     let mut total = 0.0;
     let mut n = 0;
-    for (w, out) in figure_workloads().iter().zip(&outs) {
+    for (w, out) in figure_workloads().iter().zip(outs) {
         let threads = SimConfig::paper().num_cores as f64;
         let pct = 100.0 * out.stats.cycles_blocked as f64 / (out.cycles as f64 * threads);
         total += pct;
@@ -153,7 +259,7 @@ pub fn fig03_pb_stalls(scale: ExperimentScale) -> Table {
         t.push_row(vec![w.label().into(), f2(pct)]);
     }
     t.push_row(vec!["average".into(), f2(total / n as f64)]);
-    t
+    vec![t]
 }
 
 // -------------------------------------------------------------------
@@ -185,16 +291,8 @@ pub fn fig08_specs(scale: ExperimentScale) -> Vec<RunSpec> {
 }
 
 /// Figure 8: speedup over the Intel baseline for every model and
-/// workload in a 4-core, 2-MC system.
-pub fn fig08_performance(scale: ExperimentScale) -> Table {
-    let specs = fig08_specs(scale);
-    let outs = pool::par_map(&specs, run_once);
-    fig08_table_from(&outs)
-}
-
-/// Assemble the Figure 8 table from precomputed outcomes in
-/// [`fig08_specs`] order — shared by [`fig08_performance`] and the
-/// `asap_sweep` executor, whose legs may come from the outcome cache.
+/// workload in a 4-core, 2-MC system, assembled from outcomes in
+/// [`fig08_specs`] order (simulated or loaded from the outcome cache).
 ///
 /// # Panics
 ///
@@ -263,16 +361,36 @@ pub fn fig08_summary(fig8: &Table) -> Table {
     t
 }
 
+fn fig08_tables(outs: &[RunOutcome]) -> Vec<Table> {
+    let t = fig08_table_from(outs);
+    let summary = fig08_summary(&t);
+    vec![t, summary]
+}
+
 // -------------------------------------------------------------------
-// Figure 9
+// Figures 9 and 11
 // -------------------------------------------------------------------
+
+/// The legs of Figures 9 and 11: HOPS then ASAP, both under release
+/// persistency, for every bar-chart workload.
+fn hops_asap_rp_specs(scale: ExperimentScale) -> Vec<RunSpec> {
+    bar_chart_workloads()
+        .into_iter()
+        .flat_map(|w| {
+            [
+                spec(ModelKind::Hops, Flavor::Release, w, scale),
+                spec(ModelKind::Asap, Flavor::Release, w, scale),
+            ]
+        })
+        .collect()
+}
 
 /// Figure 9: PM write operations of ASAP normalized to HOPS, plus the
 /// extra PM reads ASAP's undo records cost (§VII-A reports +5.3% reads;
 /// we normalize the extra reads per 100 media writes since our
 /// cache-resident workloads issue almost no demand PM reads to divide
 /// by).
-pub fn fig09_writes(scale: ExperimentScale) -> Table {
+fn fig09_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 9: PM write operations, ASAP vs HOPS (release persistency)",
         &[
@@ -283,16 +401,6 @@ pub fn fig09_writes(scale: ExperimentScale) -> Table {
             "undo_reads_per_100_writes",
         ],
     );
-    let specs: Vec<RunSpec> = bar_chart_workloads()
-        .into_iter()
-        .flat_map(|w| {
-            [
-                spec(ModelKind::Hops, Flavor::Release, w, scale),
-                spec(ModelKind::Asap, Flavor::Release, w, scale),
-            ]
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
     let mut norm_sum = 0.0;
     let mut read_sum = 0.0;
     let mut n = 0;
@@ -319,17 +427,57 @@ pub fn fig09_writes(scale: ExperimentScale) -> Table {
         f2(norm_sum / n as f64),
         f2(read_sum / n as f64),
     ]);
-    t
+    vec![t]
+}
+
+/// Figure 11: persist-buffer occupancy — time-weighted average and 99th
+/// percentile, HOPS vs ASAP.
+fn fig11_tables(outs: &[RunOutcome]) -> Vec<Table> {
+    let mut t = Table::new(
+        "Figure 11: PB occupancy (avg and p99), HOPS vs ASAP",
+        &["workload", "hops_avg", "hops_p99", "asap_avg", "asap_p99"],
+    );
+    for (w, pair) in bar_chart_workloads().iter().zip(outs.chunks_exact(2)) {
+        let (h, a) = (&pair[0], &pair[1]);
+        t.push_row(vec![
+            w.label().into(),
+            f2(h.stats.pb_occupancy.mean()),
+            h.stats.pb_occupancy.percentile(99.0).to_string(),
+            f2(a.stats.pb_occupancy.mean()),
+            a.stats.pb_occupancy.percentile(99.0).to_string(),
+        ]);
+    }
+    vec![t]
 }
 
 // -------------------------------------------------------------------
 // Figure 10
 // -------------------------------------------------------------------
 
+const FIG10_THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Figure 10's legs: the 1-thread HOPS baseline of every bar-chart
+/// workload first, then the HOPS/ASAP pair for every (thread count,
+/// workload) cell.
+fn fig10_specs(scale: ExperimentScale) -> Vec<RunSpec> {
+    let workloads = bar_chart_workloads();
+    let mut specs: Vec<RunSpec> = workloads
+        .iter()
+        .map(|&w| spec_cores(ModelKind::Hops, w, 1, scale))
+        .collect();
+    for threads in FIG10_THREADS {
+        for &w in &workloads {
+            specs.push(spec_cores(ModelKind::Hops, w, threads, scale));
+            specs.push(spec_cores(ModelKind::Asap, w, threads, scale));
+        }
+    }
+    specs
+}
+
 /// Figure 10: throughput scaling with core count — HOPS vs ASAP
 /// normalized to single-thread HOPS (paper shows best = P-ART, worst =
 /// skiplist, plus the average).
-pub fn fig10_scaling(scale: ExperimentScale) -> Table {
+fn fig10_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 10: speedup over 1-thread HOPS (release persistency, 2 MCs)",
         &[
@@ -343,29 +491,10 @@ pub fn fig10_scaling(scale: ExperimentScale) -> Table {
         ],
     );
     let workloads = bar_chart_workloads();
-    let thread_counts = [1usize, 2, 4, 8];
-    let spec_t = |model, w, threads: usize| -> RunSpec {
-        let mut s = spec(model, Flavor::Release, w, scale);
-        s.config = SimConfig::builder().cores(threads).build().expect("valid");
-        s
-    };
-    // Baselines (1-thread HOPS per workload) first, then the HOPS/ASAP
-    // pair for every (thread count, workload) cell.
-    let mut specs: Vec<RunSpec> = workloads
-        .iter()
-        .map(|&w| spec_t(ModelKind::Hops, w, 1))
-        .collect();
-    for &threads in &thread_counts {
-        for &w in &workloads {
-            specs.push(spec_t(ModelKind::Hops, w, threads));
-            specs.push(spec_t(ModelKind::Asap, w, threads));
-        }
-    }
-    let outs = pool::par_map(&specs, run_once);
     let tput = |o: &RunOutcome| o.ops as f64 / o.cycles as f64;
     let base: Vec<f64> = outs[..workloads.len()].iter().map(tput).collect();
     let mut idx = workloads.len();
-    for &threads in &thread_counts {
+    for threads in FIG10_THREADS {
         let mut hops_sum = 0.0;
         let mut asap_sum = 0.0;
         let mut hops_part = 0.0;
@@ -398,63 +527,31 @@ pub fn fig10_scaling(scale: ExperimentScale) -> Table {
             f2(asap_sl),
         ]);
     }
-    t
-}
-
-// -------------------------------------------------------------------
-// Figure 11
-// -------------------------------------------------------------------
-
-/// Figure 11: persist-buffer occupancy — time-weighted average and 99th
-/// percentile, HOPS vs ASAP.
-pub fn fig11_pb_occupancy(scale: ExperimentScale) -> Table {
-    let mut t = Table::new(
-        "Figure 11: PB occupancy (avg and p99), HOPS vs ASAP",
-        &["workload", "hops_avg", "hops_p99", "asap_avg", "asap_p99"],
-    );
-    let specs: Vec<RunSpec> = bar_chart_workloads()
-        .into_iter()
-        .flat_map(|w| {
-            [
-                spec(ModelKind::Hops, Flavor::Release, w, scale),
-                spec(ModelKind::Asap, Flavor::Release, w, scale),
-            ]
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (w, pair) in bar_chart_workloads().iter().zip(outs.chunks_exact(2)) {
-        let (h, a) = (&pair[0], &pair[1]);
-        t.push_row(vec![
-            w.label().into(),
-            f2(h.stats.pb_occupancy.mean()),
-            h.stats.pb_occupancy.percentile(99.0).to_string(),
-            f2(a.stats.pb_occupancy.mean()),
-            a.stats.pb_occupancy.percentile(99.0).to_string(),
-        ]);
-    }
-    t
+    vec![t]
 }
 
 // -------------------------------------------------------------------
 // Figure 12
 // -------------------------------------------------------------------
 
+fn fig12_specs(scale: ExperimentScale) -> Vec<RunSpec> {
+    bar_chart_workloads()
+        .into_iter()
+        .flat_map(|w| {
+            [
+                spec_cores(ModelKind::Asap, w, 4, scale),
+                spec_cores(ModelKind::Asap, w, 8, scale),
+            ]
+        })
+        .collect()
+}
+
 /// Figure 12: recovery-table maximum occupancy with 4 and 8 threads.
-pub fn fig12_rt_occupancy(scale: ExperimentScale) -> Table {
+fn fig12_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 12: recovery table max occupancy (ASAP_RP)",
         &["workload", "rt_max_4t", "rt_max_8t"],
     );
-    let spec_t = |w, threads: usize| -> RunSpec {
-        let mut s = spec(ModelKind::Asap, Flavor::Release, w, scale);
-        s.config = SimConfig::builder().cores(threads).build().expect("valid");
-        s
-    };
-    let specs: Vec<RunSpec> = bar_chart_workloads()
-        .into_iter()
-        .flat_map(|w| [spec_t(w, 4), spec_t(w, 8)])
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
     for (w, pair) in bar_chart_workloads().iter().zip(outs.chunks_exact(2)) {
         t.push_row(vec![
             w.label().into(),
@@ -462,195 +559,148 @@ pub fn fig12_rt_occupancy(scale: ExperimentScale) -> Table {
             pair[1].rt_max_occupancy.to_string(),
         ]);
     }
-    t
+    vec![t]
 }
 
 // -------------------------------------------------------------------
 // Figure 13
 // -------------------------------------------------------------------
 
+const FIG13_MODELS: [(&str, ModelKind); 4] = [
+    ("baseline", ModelKind::Baseline),
+    ("hops", ModelKind::Hops),
+    ("asap", ModelKind::Asap),
+    ("eadr", ModelKind::Eadr),
+];
+
+fn fig13_specs(scale: ExperimentScale) -> Vec<RunSpec> {
+    FIG13_MODELS
+        .iter()
+        .map(|&(_, m)| probe_spec(m, SimConfig::builder(), scale))
+        .collect()
+}
+
 /// Figure 13: write-bandwidth utilization of the alternating-MC
 /// microbenchmark.
-pub fn fig13_bandwidth(scale: ExperimentScale) -> Table {
+fn fig13_tables(outs: &[RunOutcome]) -> Vec<Table> {
     let mut t = Table::new(
         "Figure 13: system write-bandwidth utilization (256B ofence-ordered writes across 2 MCs)",
         &["model", "utilization_pct", "cycles"],
     );
-    const MODELS: [(&str, ModelKind, Flavor); 4] = [
-        ("baseline", ModelKind::Baseline, Flavor::Release),
-        ("hops", ModelKind::Hops, Flavor::Release),
-        ("asap", ModelKind::Asap, Flavor::Release),
-        ("eadr", ModelKind::Eadr, Flavor::Release),
-    ];
-    let specs: Vec<RunSpec> = MODELS
-        .iter()
-        .map(|&(_, m, f)| {
-            // One thread isolates ordering cost from raw demand: with many
-            // threads every design saturates the media and the figure's
-            // contrast vanishes.
-            let mut s = spec(m, f, WorkloadKind::Bandwidth, scale);
-            s.config = SimConfig::builder().cores(1).build().expect("valid");
-            s.ops_per_thread = scale.ops * 4;
-            s
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (&(name, _, _), out) in MODELS.iter().zip(&outs) {
+    for (&(name, _), out) in FIG13_MODELS.iter().zip(outs) {
         t.push_row(vec![
             name.into(),
             f2(out.media_utilization * 100.0),
             out.cycles.to_string(),
         ]);
     }
-    t
+    vec![t]
 }
 
 // -------------------------------------------------------------------
 // Ablations (DESIGN.md §7)
 // -------------------------------------------------------------------
 
-/// RT-size sweep: NACK fallback frequency and performance (§V-D).
-pub fn abl_rt_size(scale: ExperimentScale) -> Table {
-    let mut t = Table::new(
+const ABL_RT_ENTRIES: [usize; 5] = [4, 8, 16, 32, 64];
+const ABL_PB_ENTRIES: [usize; 5] = [4, 8, 16, 32, 64];
+const ABL_NVM_WRITE_NS: [u64; 4] = [45, 90, 180, 360];
+const ABL_MCS: [usize; 3] = [1, 2, 4];
+
+/// The four ablation sweeps as one leg list: ASAP_RP cceh per RT size,
+/// then per PB size, then a HOPS/ASAP bandwidth-probe pair per NVM write
+/// latency, then per MC count.
+fn ablation_specs(scale: ExperimentScale) -> Vec<RunSpec> {
+    let cceh = |config: SimConfigBuilder| RunSpec {
+        config: config.build().expect("valid"),
+        ..spec(ModelKind::Asap, Flavor::Release, WorkloadKind::Cceh, scale)
+    };
+    let pair = |config: SimConfigBuilder| {
+        [ModelKind::Hops, ModelKind::Asap].map(|m| probe_spec(m, config.clone(), scale))
+    };
+    let mut specs: Vec<RunSpec> = Vec::new();
+    specs.extend(ABL_RT_ENTRIES.map(|n| cceh(SimConfig::builder().rt_entries(n))));
+    specs.extend(ABL_PB_ENTRIES.map(|n| cceh(SimConfig::builder().pb_entries(n))));
+    for ns in ABL_NVM_WRITE_NS {
+        specs.extend(pair(SimConfig::builder().nvm_write_ns(ns)));
+    }
+    for mcs in ABL_MCS {
+        specs.extend(pair(SimConfig::builder().mcs(mcs)));
+    }
+    specs
+}
+
+/// The ablation tables, in [`ablation_specs`] order:
+///
+/// 1. RT size: NACK fallback frequency and performance (§V-D);
+/// 2. PB size: back-pressure onto the core;
+/// 3. NVM write latency on the bandwidth probe: the paper's claim that
+///    ASAP "offers greater performance benefit with increasing NVM write
+///    bandwidth" — faster media widens the gap (ordering dominates),
+///    slower media saturates every design and narrows it;
+/// 4. MC count on the bandwidth probe (§III's multi-MC motivation).
+fn ablation_tables(outs: &[RunOutcome]) -> Vec<Table> {
+    let (rt, rest) = outs.split_at(ABL_RT_ENTRIES.len());
+    let (pb, rest) = rest.split_at(ABL_PB_ENTRIES.len());
+    let (nvm, mc) = rest.split_at(2 * ABL_NVM_WRITE_NS.len());
+
+    let mut rt_table = Table::new(
         "Ablation: recovery-table size (ASAP_RP, cceh)",
         &["rt_entries", "cycles", "nacks", "tot_spec_writes"],
     );
-    let sizes = [4usize, 8, 16, 32, 64];
-    let specs: Vec<RunSpec> = sizes
-        .iter()
-        .map(|&rt| {
-            let mut s = spec(ModelKind::Asap, Flavor::Release, WorkloadKind::Cceh, scale);
-            s.config = SimConfig::builder().rt_entries(rt).build().expect("valid");
-            s
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (&rt, out) in sizes.iter().zip(&outs) {
-        t.push_row(vec![
-            rt.to_string(),
+    for (&n, out) in ABL_RT_ENTRIES.iter().zip(rt) {
+        rt_table.push_row(vec![
+            n.to_string(),
             out.cycles.to_string(),
             out.stats.nacks.to_string(),
             out.stats.tot_spec_writes.to_string(),
         ]);
     }
-    t
-}
-
-/// PB-size sweep: back-pressure onto the core.
-pub fn abl_pb_size(scale: ExperimentScale) -> Table {
-    let mut t = Table::new(
+    let mut pb_table = Table::new(
         "Ablation: persist-buffer size (ASAP_RP, cceh)",
         &["pb_entries", "cycles", "cyclesStalled"],
     );
-    let sizes = [4usize, 8, 16, 32, 64];
-    let specs: Vec<RunSpec> = sizes
-        .iter()
-        .map(|&pb| {
-            let mut s = spec(ModelKind::Asap, Flavor::Release, WorkloadKind::Cceh, scale);
-            s.config = SimConfig::builder().pb_entries(pb).build().expect("valid");
-            s
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (&pb, out) in sizes.iter().zip(&outs) {
-        t.push_row(vec![
-            pb.to_string(),
+    for (&n, out) in ABL_PB_ENTRIES.iter().zip(pb) {
+        pb_table.push_row(vec![
+            n.to_string(),
             out.cycles.to_string(),
             out.stats.cycles_stalled.to_string(),
         ]);
     }
-    t
-}
-
-/// NVM write-latency sweep on the bandwidth probe: the paper's claim
-/// that ASAP "offers greater performance benefit with increasing NVM
-/// write bandwidth" — faster media widens the gap (ordering dominates),
-/// slower media saturates every design and narrows it.
-pub fn abl_nvm_bw(scale: ExperimentScale) -> Table {
-    let mut t = Table::new(
-        "Ablation: NVM write latency (ASAP vs HOPS, 1-thread bandwidth probe)",
-        &[
-            "nvm_write_ns",
-            "hops_cycles",
-            "asap_cycles",
-            "asap_over_hops",
-        ],
-    );
-    let lats = [45u64, 90, 180, 360];
-    let specs: Vec<RunSpec> = lats
-        .iter()
-        .flat_map(|&ns| {
-            [ModelKind::Hops, ModelKind::Asap].map(|m| {
-                let mut s = spec(m, Flavor::Release, WorkloadKind::Bandwidth, scale);
-                s.config = SimConfig::builder()
-                    .cores(1)
-                    .nvm_write_ns(ns)
-                    .build()
-                    .expect("valid");
-                s.ops_per_thread = scale.ops * 4;
-                s
-            })
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (&ns, pair) in lats.iter().zip(outs.chunks_exact(2)) {
-        let (h, a) = (pair[0].cycles, pair[1].cycles);
-        t.push_row(vec![
-            ns.to_string(),
-            h.to_string(),
-            a.to_string(),
-            f2(h as f64 / a as f64),
-        ]);
-    }
-    t
-}
-
-/// MC-count sweep on the bandwidth microbenchmark (§III's multi-MC
-/// motivation).
-pub fn abl_mc_count(scale: ExperimentScale) -> Table {
-    let mut t = Table::new(
-        "Ablation: memory-controller count (bandwidth microbenchmark)",
-        &["mcs", "hops_cycles", "asap_cycles", "asap_over_hops"],
-    );
-    let counts = [1usize, 2, 4];
-    let specs: Vec<RunSpec> = counts
-        .iter()
-        .flat_map(|&mcs| {
-            [ModelKind::Hops, ModelKind::Asap].map(|m| {
-                // One thread isolates the cross-MC ordering cost (§III);
-                // with more threads every design saturates the media.
-                let mut s = spec(m, Flavor::Release, WorkloadKind::Bandwidth, scale);
-                s.config = SimConfig::builder()
-                    .cores(1)
-                    .mcs(mcs)
-                    .build()
-                    .expect("valid");
-                s.ops_per_thread = scale.ops * 4;
-                s
-            })
-        })
-        .collect();
-    let outs = pool::par_map(&specs, run_once);
-    for (&mcs, pair) in counts.iter().zip(outs.chunks_exact(2)) {
-        let (h, a) = (pair[0].cycles, pair[1].cycles);
-        t.push_row(vec![
-            mcs.to_string(),
-            h.to_string(),
-            a.to_string(),
-            f2(h as f64 / a as f64),
-        ]);
-    }
-    t
-}
-
-/// All ablation tables.
-pub fn ablations(scale: ExperimentScale) -> Vec<Table> {
     vec![
-        abl_rt_size(scale),
-        abl_pb_size(scale),
-        abl_nvm_bw(scale),
-        abl_mc_count(scale),
+        rt_table,
+        pb_table,
+        hops_asap_table(
+            "Ablation: NVM write latency (ASAP vs HOPS, 1-thread bandwidth probe)",
+            "nvm_write_ns",
+            &ABL_NVM_WRITE_NS,
+            nvm,
+        ),
+        hops_asap_table(
+            "Ablation: memory-controller count (bandwidth microbenchmark)",
+            "mcs",
+            &ABL_MCS,
+            mc,
+        ),
     ]
+}
+
+/// One row per sweep key from (HOPS, ASAP) outcome pairs: both cycle
+/// counts and ASAP's speedup over HOPS.
+fn hops_asap_table<K: ToString>(title: &str, key: &str, keys: &[K], outs: &[RunOutcome]) -> Table {
+    let mut t = Table::new(
+        title,
+        &[key, "hops_cycles", "asap_cycles", "asap_over_hops"],
+    );
+    for (k, pair) in keys.iter().zip(outs.chunks_exact(2)) {
+        let (h, a) = (pair[0].cycles, pair[1].cycles);
+        t.push_row(vec![
+            k.to_string(),
+            h.to_string(),
+            a.to_string(),
+            f2(h as f64 / a as f64),
+        ]);
+    }
+    t
 }
 
 /// Convenience: the Table VI stat listing for one run (gem5-style).
@@ -667,6 +717,8 @@ pub fn stats_txt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::SweepArgs;
+    use crate::exec::sweep_figure;
 
     fn tiny() -> ExperimentScale {
         ExperimentScale {
@@ -676,9 +728,17 @@ mod tests {
         }
     }
 
+    /// The tables of registry entry `name`, run in-process at `scale`.
+    fn tables(name: &str, scale: ExperimentScale) -> Vec<Table> {
+        let fig = figure(name).expect("registered figure");
+        sweep_figure(fig, scale, &SweepArgs::default())
+            .0
+            .expect("an unsharded sweep is complete")
+    }
+
     #[test]
     fn fig13_shape_asap_beats_hops() {
-        let t = fig13_bandwidth(tiny());
+        let t = &tables("fig13", tiny())[0];
         let hops = t.cell_f64("hops", "utilization_pct").unwrap();
         let asap = t.cell_f64("asap", "utilization_pct").unwrap();
         assert!(
@@ -692,7 +752,7 @@ mod tests {
 
     #[test]
     fn fig08_shape_on_subset() {
-        // Full fig08 is exercised by the binaries/benches; here check the
+        // Full fig08 is exercised by the sweep tests/benches; here check the
         // model ordering on one representative workload.
         let s = tiny();
         let cycles: Vec<u64> = FIG8_MODELS
@@ -734,14 +794,20 @@ mod tests {
         };
         // Only two workloads to keep the test fast: build a table inline.
         let spec_rp = spec(ModelKind::Asap, Flavor::Release, WorkloadKind::Cceh, s).windowed();
-        let rp = run_window(&spec_rp, s.window);
+        let rp = crate::run_window(&spec_rp, s.window);
         assert!(rp.stats.epochs_created > 0);
         assert!(!rp.all_done);
+        let windowed: Vec<&str> = FIGURES
+            .iter()
+            .filter(|f| f.windowed)
+            .map(|f| f.name)
+            .collect();
+        assert_eq!(windowed, ["fig02"], "fig02 is the one windowed figure");
     }
 
     #[test]
     fn abl_mc_count_single_mc_less_advantage() {
-        let t = abl_mc_count(tiny());
+        let t = &tables("ablations", tiny())[3];
         let one = t.cell_f64("1", "asap_over_hops").unwrap();
         let two = t.cell_f64("2", "asap_over_hops").unwrap();
         // The multi-MC motivation: ASAP's edge grows with MC count.

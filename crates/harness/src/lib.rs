@@ -1,29 +1,33 @@
 //! Experiment harness: regenerates every table and figure of the ASAP
 //! paper's evaluation (§VII).
 //!
-//! Each `figXX_*` function runs the necessary simulations and returns a
-//! [`Table`] whose rows mirror the corresponding figure's series; the
-//! binaries in `src/bin/` are thin CLI wrappers that print the tables
+//! Each figure is one entry of the [`experiments::FIGURES`] registry: a
+//! spec builder plus a table builder whose rows mirror the figure's
+//! series. [`exec::sweep_figure`] runs any entry through the sweep
+//! executor, and the `asap_sweep <name>` binary prints its tables
 //! (markdown to stdout, optionally CSV).
 //!
 //! Every sweep first builds a flat `Vec<RunSpec>` and then fans it out
 //! across the [`pool`] executor (all cores by default; `ASAP_THREADS`
-//! or `--threads N` to override). Each simulation is deterministic and
-//! results are collected in input order, so the emitted tables are
-//! byte-identical to a serial run — only the wall clock changes.
+//! or `--threads N` to override), optionally behind the outcome cache.
+//! Each simulation is deterministic and results are collected in input
+//! order, so the emitted tables are byte-identical to a serial run —
+//! only the wall clock changes.
 //!
-//! | entry point | paper artefact |
+//! | registry entry | paper artefact |
 //! |---|---|
-//! | [`experiments::fig02_epochs`] | Fig. 2 — epochs & cross-thread deps per 1 ms |
-//! | [`experiments::fig03_pb_stalls`] | Fig. 3 — % cycles persist buffers blocked (HOPS) |
-//! | [`experiments::fig08_performance`] | Fig. 8 — speedups over the Intel baseline |
-//! | [`experiments::fig09_writes`] | Fig. 9 — PM write operations, ASAP vs HOPS |
-//! | [`experiments::fig10_scaling`] | Fig. 10 — core-count sensitivity |
-//! | [`experiments::fig11_pb_occupancy`] | Fig. 11 — PB occupancy avg / p99 |
-//! | [`experiments::fig12_rt_occupancy`] | Fig. 12 — RT max occupancy, 4 vs 8 threads |
-//! | [`experiments::fig13_bandwidth`] | Fig. 13 — system write-bandwidth utilization |
-//! | [`hwcost::table5`] | Table V — hardware cost (analytical CACTI substitute) |
-//! | [`experiments::ablations`] | DESIGN.md ablations (RT/PB size, NVM latency, MC count) |
+//! | `fig02` | Fig. 2 — epochs & cross-thread deps per 1 ms |
+//! | `fig03` | Fig. 3 — % cycles persist buffers blocked (HOPS) |
+//! | `fig08` | Fig. 8 — speedups over the Intel baseline, plus §VII-A headline numbers |
+//! | `fig09` | Fig. 9 — PM write operations, ASAP vs HOPS |
+//! | `fig10` | Fig. 10 — core-count sensitivity |
+//! | `fig11` | Fig. 11 — PB occupancy avg / p99 |
+//! | `fig12` | Fig. 12 — RT max occupancy, 4 vs 8 threads |
+//! | `fig13` | Fig. 13 — system write-bandwidth utilization |
+//! | `ablations` | DESIGN.md ablations (RT/PB size, NVM latency, MC count) |
+//!
+//! Table V (hardware cost, an analytical CACTI substitute) needs no
+//! simulation: [`hwcost::table5`], printed by `tab05_hwcost`.
 //!
 //! # Example
 //!
@@ -53,7 +57,6 @@ pub mod exec;
 pub mod experiments;
 pub mod hwcost;
 pub mod pool;
-pub mod proto;
 mod report;
 mod runner;
 pub mod traffic;
@@ -63,20 +66,6 @@ pub use runner::{
     prewarm_workloads, run_once, run_race_check, run_roi, run_window, workload_bank_stats,
     RunManifest, RunOutcome, RunSpec,
 };
-
-/// Parse the shared CLI convention of the harness binaries — one call
-/// to [`args::SweepArgs::init`], which handles `--full`, `--seed N`,
-/// `--threads N`/`--workers N` ([`pool::num_workers`]), `--progress`
-/// and the sweep-executor flags,
-/// then installs the process-global settings. Binaries that only need
-/// the scale (fig02–fig13) call this; binaries that also cache/fan out
-/// keep the returned [`args::SweepArgs`] via `SweepArgs::init()`.
-///
-/// Malformed numeric values exit with status 2 and a diagnostic
-/// (see [`args`]) instead of silently running with defaults.
-pub fn cli_scale() -> experiments::ExperimentScale {
-    args::SweepArgs::init().scale()
-}
 
 /// Print a wall-clock footer for a sweep binary on stderr (stdout stays
 /// clean for piped table output), seeding per-figure timing visibility.

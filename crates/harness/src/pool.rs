@@ -87,17 +87,15 @@ pub fn num_workers() -> usize {
     )
 }
 
-/// Throttled stderr progress reporter shared by the pool's workers —
-/// and by the multi-process sweep coordinator (`crate::exec`), which
-/// owns the single aggregated ETA across all worker processes.
-pub(crate) struct Progress {
+/// Throttled stderr progress reporter shared by the pool's workers.
+struct Progress {
     total: usize,
     completed: AtomicUsize,
     started: Instant,
 }
 
 impl Progress {
-    pub(crate) fn new(total: usize) -> Option<Progress> {
+    fn new(total: usize) -> Option<Progress> {
         (progress_enabled() && total > 0).then(|| Progress {
             total,
             completed: AtomicUsize::new(0),
@@ -106,7 +104,7 @@ impl Progress {
     }
 
     /// Mark one job done; prints at ~2% granularity and on the last job.
-    pub(crate) fn tick(&self) {
+    fn tick(&self) {
         let done = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
         let step = (self.total / 50).max(1);
         if !done.is_multiple_of(step) && done != self.total {

@@ -10,7 +10,7 @@
 //! collected in input order, so the emitted table is identical at any
 //! `--workers` count and for either event-queue kind.
 
-use crate::pool;
+use crate::args::SweepArgs;
 use crate::report::Table;
 use asap_core::{SimBuilder, ThreadProgram};
 use asap_sim_core::{Flavor, LatencySplit, ModelKind, SimConfig};
@@ -343,11 +343,13 @@ pub const TRAFFIC_HEADERS: [&str; 12] = [
     "service_p99",
 ];
 
-/// Run every leg of `scale` across the worker pool and assemble the
-/// latency table (input-order rows; byte-identical at any worker count).
+/// Run every leg of `scale` through the sweep executor (in-process, no
+/// cache) and assemble the latency table (input-order rows;
+/// byte-identical at any worker count).
 pub fn traffic_table(scale: &TrafficScale) -> Table {
     let specs = scale.specs();
-    let outs = pool::par_map(&specs, run_traffic);
+    let (results, _) = crate::exec::sweep_traffic("traffic", &specs, &SweepArgs::default());
+    let outs = crate::exec::complete_outcomes(results).expect("an unsharded sweep is complete");
     table_from_runs(&specs, &outs)
 }
 
@@ -369,6 +371,7 @@ pub fn table_from_runs(specs: &[TrafficSpec], outs: &[TrafficOutcome]) -> Table 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool;
 
     fn tiny_scale() -> TrafficScale {
         TrafficScale {

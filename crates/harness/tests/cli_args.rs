@@ -1,10 +1,11 @@
-//! End-to-end CLI argument handling for the `asap_sim` binary.
+//! End-to-end CLI argument handling for the `asap_sim` and `stats_txt`
+//! binaries.
 //!
-//! Pins the satellite fix for silent flag swallowing: a malformed
-//! numeric value used to parse to `None` and quietly fall back to the
-//! default (`--crash-at 12x` ran with *no crash at all*). Now every
-//! malformed value must exit non-zero with a diagnostic naming the flag
-//! and the offending value.
+//! Pins the fix for silent flag swallowing: a malformed numeric value
+//! used to parse to `None` and quietly fall back to the default
+//! (`--crash-at 12x` ran with *no crash at all*). Now every malformed
+//! value must exit non-zero with a diagnostic naming the flag and the
+//! offending value — never a panic.
 
 use std::process::{Command, Output};
 
@@ -13,6 +14,13 @@ fn asap_sim(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn asap_sim")
+}
+
+fn stats_txt(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_stats_txt"))
+        .args(args)
+        .output()
+        .expect("spawn stats_txt")
 }
 
 fn stderr_of(out: &Output) -> String {
@@ -78,4 +86,20 @@ fn valid_tiny_run_succeeds_and_prints_manifest() {
     assert!(err.contains("\"workload\":\"queue\""), "{err}");
     assert!(err.contains("\"seed\":3"), "{err}");
     assert!(err.contains("\"config_digest\":\""), "{err}");
+}
+
+#[test]
+fn stats_txt_unknown_names_exit_two_listing_known_ones() {
+    for (argv, known) in [
+        (vec!["banana"], "p-clht"),
+        (vec!["cceh", "nope"], "baseline|hops|asap|eadr|bbb"),
+        (vec!["cceh", "asap", "bogus"], "ep|rp"),
+    ] {
+        let out = stats_txt(&argv);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "argv {argv:?}: {err}");
+        assert!(err.contains(argv[argv.len() - 1]), "{err}");
+        assert!(err.contains(known), "{err}");
+        assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
+    }
 }

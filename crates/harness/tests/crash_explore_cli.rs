@@ -123,6 +123,25 @@ fn malformed_budget_exits_two_naming_flag_and_value() {
 }
 
 #[test]
+fn unwritable_json_path_exits_two() {
+    let out = explore(&[
+        "--workloads",
+        "queue",
+        "--models",
+        "baseline",
+        "--ops",
+        "2",
+        "--json",
+        "/nonexistent/x.json",
+    ]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(err.contains("--json"), "{err}");
+    assert!(err.contains("/nonexistent/x.json"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
 fn cache_round_trips_and_marks_hits() {
     let dir = std::env::temp_dir().join(format!("crash_explore_cache_{}", std::process::id()));
     let dir_s = dir.to_str().expect("utf8 temp dir");

@@ -3,7 +3,9 @@
 //! result — per-sim determinism plus ordered collection means only the
 //! wall clock differs from a serial run.
 
-use asap_harness::experiments::{fig08_performance, fig08_specs, ExperimentScale};
+use asap_harness::args::SweepArgs;
+use asap_harness::exec::sweep_figure;
+use asap_harness::experiments::{fig08_specs, figure, ExperimentScale};
 use asap_harness::{pool, run_once, RunOutcome};
 
 /// A sub-quick scale: the equivalence property is scale-independent and
@@ -50,10 +52,17 @@ fn deterministic_across_worker_counts() {
 
 #[test]
 fn repeated_parallel_tables_identical() {
-    // End to end through the figure function: repeated parallel runs
-    // must render byte-identical tables.
-    let a = fig08_performance(test_scale());
-    let b = fig08_performance(test_scale());
-    assert_eq!(a.to_markdown(), b.to_markdown());
-    assert_eq!(a.to_csv(), b.to_csv());
+    // End to end through the registry's fig08 entry: repeated parallel
+    // runs must render byte-identical tables.
+    let run = || {
+        let fig = figure("fig08").expect("registered figure");
+        sweep_figure(fig, test_scale(), &SweepArgs::default())
+            .0
+            .expect("an unsharded sweep is complete")
+    };
+    let (a, b) = (run(), run());
+    for (a, b) in a.iter().zip(&b) {
+        assert_eq!(a.to_markdown(), b.to_markdown());
+        assert_eq!(a.to_csv(), b.to_csv());
+    }
 }

@@ -1,15 +1,16 @@
 //! Library-level tests of the sweep executor ([`asap_harness::exec`]):
 //! cache correctness (hit ⇒ byte-identical results, corruption ⇒
-//! re-run), resume after a partial run, and shard composition. All
-//! in-process (`--procs 1` path); the multi-process path is covered
+//! re-run), resume after a partial run, shard composition, and every
+//! registry figure cold and warm. The `asap_sweep` binary is covered
 //! end-to-end by `asap_sweep_cli.rs`.
 
 use asap_harness::args::{Shard, SweepArgs};
-use asap_harness::cache::{encode_outcome, run_spec_digest, OutcomeCache};
-use asap_harness::exec::{sweep_run_once, sweep_traffic};
+use asap_harness::cache::{decode_outcome, encode_outcome, run_spec_digest, OutcomeCache};
+use asap_harness::exec::{sweep_figure, sweep_run_once, sweep_traffic};
+use asap_harness::experiments::{figure, ExperimentScale, FIGURES};
 use asap_harness::traffic::TrafficScale;
 use asap_harness::RunSpec;
-use asap_sim_core::{Flavor, ModelKind, SimConfig};
+use asap_sim_core::{Cycle, Flavor, ModelKind, SimConfig};
 use asap_workloads::WorkloadKind;
 use std::path::{Path, PathBuf};
 
@@ -35,16 +36,8 @@ fn tiny_specs() -> Vec<RunSpec> {
 
 fn sweep_args(cache_dir: Option<&Path>) -> SweepArgs {
     SweepArgs {
-        full: false,
-        seed: None,
-        workers: None,
-        progress: false,
-        procs: 1,
-        chunk: 4,
         cache_dir: cache_dir.map(|p| p.to_str().expect("utf8 dir").to_string()),
-        resume: false,
-        shard: None,
-        worker_mode: false,
+        ..Default::default()
     }
 }
 
@@ -236,5 +229,83 @@ fn traffic_sweep_caches_and_round_trips() {
             .collect()
     };
     assert_eq!(unwrap(cold), unwrap(warm));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sub-quick scale for running every registry figure twice.
+fn tiny_scale() -> ExperimentScale {
+    ExperimentScale {
+        ops: 12,
+        window: Cycle(30_000),
+        seed: 42,
+    }
+}
+
+fn markdown(tables: Option<Vec<asap_harness::Table>>) -> Vec<String> {
+    tables
+        .expect("an unsharded sweep is complete")
+        .iter()
+        .map(|t| t.to_markdown())
+        .collect()
+}
+
+#[test]
+fn every_figure_replays_from_a_warm_cache() {
+    for fig in &FIGURES {
+        let dir = tmpdir(&format!("fig-{}", fig.name));
+        let sa = sweep_args(Some(&dir));
+        let (cold, cold_report) = sweep_figure(fig, tiny_scale(), &sa);
+        assert_eq!(cold_report.cached, 0, "{}", fig.name);
+        assert_eq!(cold_report.legs, (fig.specs)(tiny_scale()).len());
+        let (warm, warm_report) = sweep_figure(fig, tiny_scale(), &sa);
+        assert_eq!(
+            warm_report.simulated, 0,
+            "{}: warm pass simulated",
+            fig.name
+        );
+        assert_eq!(warm_report.cached, warm_report.legs, "{}", fig.name);
+        assert_eq!(
+            markdown(cold),
+            markdown(warm),
+            "{}: cached tables must be byte-identical",
+            fig.name
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn cache_keys_do_not_depend_on_the_figure() {
+    // Figures 9 and 11 run HOPS_RP and ASAP_RP legs that Figure 8 also
+    // runs: after fig08, both answer entirely from its cache entries.
+    let dir = tmpdir("shared");
+    let sa = sweep_args(Some(&dir));
+    let fig = |name| figure(name).expect("registered figure");
+    let (_, report) = sweep_figure(fig("fig08"), tiny_scale(), &sa);
+    assert_eq!(report.simulated, report.legs);
+    for name in ["fig09", "fig11"] {
+        let (tables, report) = sweep_figure(fig(name), tiny_scale(), &sa);
+        assert!(tables.is_some(), "{name}");
+        assert_eq!(report.simulated, 0, "{name} must reuse fig08's legs");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn windowed_legs_are_cached_as_unfinished_runs() {
+    let dir = tmpdir("window");
+    let fig = figure("fig02").expect("registered figure");
+    assert!(fig.windowed);
+    let (tables, _) = sweep_figure(fig, tiny_scale(), &sweep_args(Some(&dir)));
+    assert!(tables.is_some());
+    let cache = OutcomeCache::open(&dir).unwrap();
+    let mode = format!("window:{}", tiny_scale().window.0);
+    for spec in (fig.specs)(tiny_scale()) {
+        let payload = cache
+            .load(run_spec_digest(&spec, &mode))
+            .expect("every windowed leg is stored under its window key");
+        let out = decode_outcome(&payload).expect("stored leg decodes");
+        assert!(!out.all_done, "a windowed leg stops at the window");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,8 +2,10 @@
 //! scale: if a refactor flips who wins (or kills a crossover the paper
 //! highlights), these fail before the full-scale report does.
 
-use asap::harness::experiments::{abl_mc_count, fig09_writes, fig13_bandwidth, ExperimentScale};
-use asap::harness::{run_once, RunSpec};
+use asap::harness::args::SweepArgs;
+use asap::harness::exec::sweep_figure;
+use asap::harness::experiments::{figure, ExperimentScale};
+use asap::harness::{run_once, RunSpec, Table};
 use asap::sim::{Cycle, Flavor, ModelKind, SimConfig};
 use asap::workloads::WorkloadKind;
 
@@ -13,6 +15,14 @@ fn tiny() -> ExperimentScale {
         window: Cycle(40_000),
         seed: 42,
     }
+}
+
+/// The tables of registry entry `name` at the tiny scale.
+fn tables(name: &str) -> Vec<Table> {
+    let fig = figure(name).expect("registered figure");
+    sweep_figure(fig, tiny(), &SweepArgs::default())
+        .0
+        .expect("an unsharded sweep is complete")
 }
 
 fn cycles(model: ModelKind, flavor: Flavor, w: WorkloadKind, threads: usize) -> u64 {
@@ -78,7 +88,7 @@ fn fig08_shape_hops_ep_below_baseline_on_queue() {
 /// average (it usually persists fewer).
 #[test]
 fn fig09_shape_write_counts() {
-    let t = fig09_writes(tiny());
+    let t = &tables("fig09")[0];
     let avg: f64 = t.cell_f64("average", "normalized").expect("average row");
     assert!(avg < 1.10, "ASAP/HOPS write ratio too high: {avg}");
 }
@@ -113,7 +123,7 @@ fn fig10_shape_part_scaling() {
 /// alternating-MC probe.
 #[test]
 fn fig13_shape_bandwidth_utilization() {
-    let t = fig13_bandwidth(tiny());
+    let t = &tables("fig13")[0];
     let base = t
         .cell_f64("baseline", "utilization_pct")
         .expect("baseline row");
@@ -127,7 +137,7 @@ fn fig13_shape_bandwidth_utilization() {
 /// single-thread ordering probe.
 #[test]
 fn multi_mc_motivation_holds() {
-    let t = abl_mc_count(tiny());
+    let t = &tables("ablations")[3];
     let one = t.cell_f64("1", "asap_over_hops").expect("1-MC row");
     let four = t.cell_f64("4", "asap_over_hops").expect("4-MC row");
     assert!(
