@@ -374,7 +374,7 @@ fn config_salt(workload: WorkloadKind, model: ModelKind) -> u64 {
 }
 
 /// One oracle violation found at a crash point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViolationHit {
     /// Crash cycle.
     pub cycle: u64,
@@ -389,7 +389,7 @@ pub struct ViolationHit {
 pub const MAX_KEPT_VIOLATIONS: usize = 20;
 
 /// Result of verifying one chunk.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChunkResult {
     /// Crash points actually checked.
     pub checked: u64,
@@ -489,7 +489,8 @@ pub struct ConfigReport {
     pub verify_mismatches: u64,
     /// Max undo records any checked crash point would apply.
     pub undo_max: usize,
-    /// Whether this config was served from the harness result cache.
+    /// Whether every verify chunk of this config was served from the
+    /// harness result cache.
     pub from_cache: bool,
 }
 
@@ -808,8 +809,8 @@ impl CrashSpaceReport {
 
 /// Serial end-to-end driver: pass 1 then every chunk, per config, in
 /// grid order. The harness binary reproduces exactly this structure
-/// with the chunk jobs fanned out over its worker pool; both paths
-/// produce byte-identical reports.
+/// with the chunks run as legs of its sweep executor (worker pool plus
+/// outcome cache); both paths produce byte-identical reports.
 pub fn explore_all(p: &ExploreParams) -> CrashSpaceReport {
     let configs: Vec<ConfigReport> = p
         .configs()

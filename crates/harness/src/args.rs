@@ -7,16 +7,39 @@
 //! These helpers make a malformed or missing value a hard error — the
 //! binary prints a diagnostic naming the flag and value and exits with
 //! status 2 — while an *absent* flag still falls back to its default.
+//! A flag is missing its value when nothing follows it or another
+//! `--flag` does, for string flags as for numeric ones:
+//! `--cache-dir --resume` is an error, not a directory named `--resume`.
 
 use std::fmt::Display;
 use std::str::FromStr;
 
-/// The raw value following `name`, if the flag is present and has one.
+/// The raw value following `name`: `Ok(None)` when the flag is absent,
+/// an error when it is present without a value.
+fn raw_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(format!("flag {name} requires a value")),
+    }
+}
+
+/// Print `error: {msg}` and exit with status 2, the bad-usage status
+/// of every harness binary.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// The raw value following `name`, if the flag is present; a flag with
+/// no value exits with status 2 and a diagnostic.
 pub fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    match raw_value(args, name) {
+        Ok(v) => v.map(str::to_string),
+        Err(msg) => usage_error(&msg),
+    }
 }
 
 /// Is the bare flag `name` present?
@@ -31,11 +54,8 @@ pub fn try_parse_arg<T: FromStr>(args: &[String], name: &str) -> Result<Option<T
 where
     T::Err: Display,
 {
-    let Some(i) = args.iter().position(|a| a == name) else {
+    let Some(v) = raw_value(args, name)? else {
         return Ok(None);
-    };
-    let Some(v) = args.get(i + 1) else {
-        return Err(format!("flag {name} requires a value"));
     };
     v.parse()
         .map(Some)
@@ -50,10 +70,17 @@ where
 {
     match try_parse_arg(args, name) {
         Ok(v) => v,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
+        Err(msg) => usage_error(&msg),
+    }
+}
+
+/// Parse a labelled flag such as `--model asap`. Absent flag → `None`;
+/// an unknown label exits with status 2, listing the `known` ones.
+pub fn parse_label<T: FromStr>(args: &[String], name: &str, known: &str) -> Option<T> {
+    let v = arg_value(args, name)?;
+    match v.parse() {
+        Ok(t) => Some(t),
+        Err(_) => usage_error(&format!("invalid value '{v}' for {name}; known: {known}")),
     }
 }
 
@@ -155,8 +182,7 @@ impl SweepArgs {
             shard: parse_arg(argv, "--shard"),
         };
         if sa.resume && sa.cache_dir.is_none() {
-            eprintln!("error: --resume requires --cache-dir (the journal lives there)");
-            std::process::exit(2);
+            usage_error("--resume requires --cache-dir (the journal lives there)");
         }
         sa
     }
@@ -286,6 +312,24 @@ mod tests {
     #[test]
     fn missing_value_is_an_error() {
         let args = argv(&["prog", "--threads"]);
+        let err = try_parse_arg::<usize>(&args, "--threads").unwrap_err();
+        assert!(err.contains("requires a value"), "{err}");
+    }
+
+    #[test]
+    fn string_flag_missing_its_value_is_an_error() {
+        for args in [
+            argv(&["prog", "--cache-dir"]),
+            argv(&["prog", "--cache-dir", "--resume"]),
+        ] {
+            let err = raw_value(&args, "--cache-dir").unwrap_err();
+            assert!(err.contains("--cache-dir requires a value"), "{err}");
+        }
+        // A lone dash is a value (`--json -` means stdout).
+        let args = argv(&["prog", "--json", "-"]);
+        assert_eq!(raw_value(&args, "--json"), Ok(Some("-")));
+        // A numeric flag followed by a flag names the missing value too.
+        let args = argv(&["prog", "--threads", "--full"]);
         let err = try_parse_arg::<usize>(&args, "--threads").unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
     }

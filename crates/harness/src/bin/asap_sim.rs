@@ -8,8 +8,11 @@
 //! ```
 //!
 //! Runs one simulation and prints the gem5-style statistics (Table VI
-//! names). With `--crash-at`, cuts power at the given cycle, runs the
-//! §VI consistency oracle and (with `--verify`) the structure's recovery
+//! names); EXPERIMENTS.md quotes the listing of `asap_sim --workload
+//! cceh --model asap --flavor rp --ops 60`. An unknown workload, model
+//! or flavor exits with status 2 and lists the known labels. With
+//! `--crash-at`, cuts power at the given cycle, runs the §VI
+//! consistency oracle and (with `--verify`) the structure's recovery
 //! verifier.
 //!
 //! Observability:
@@ -28,24 +31,12 @@
 //! fallbacks to defaults — see [`asap_harness::args`].
 
 use asap_core::{Flavor, ModelKind, SimBuilder};
-use asap_harness::args::{self, parse_arg, parse_arg_or};
+use asap_harness::args::{self, parse_arg, parse_arg_or, parse_label};
 use asap_harness::{RunManifest, RunSpec};
 use asap_sim_core::{ChromeTracer, Cycle, SimConfig, TextTracer};
 use asap_workloads::{make_workload, recovery, WorkloadKind, WorkloadParams};
 use std::fs::File;
 use std::io::BufWriter;
-
-/// Parse a labelled-enum flag (`--workload`, `--model`, `--flavor`),
-/// exiting with a diagnostic on an unknown label.
-fn parse_label<T: std::str::FromStr>(argv: &[String], name: &str, default: T, known: &str) -> T {
-    match args::arg_value(argv, name) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid value '{v}' for {name}; known: {known}");
-            std::process::exit(2);
-        }),
-    }
-}
 
 fn main() {
     let code = run();
@@ -56,6 +47,7 @@ fn main() {
 
 fn run() -> i32 {
     let argv: Vec<String> = std::env::args().collect();
+    let workloads: Vec<&str> = WorkloadKind::all().iter().map(|w| w.label()).collect();
     if args::has_flag(&argv, "--help") || args::has_flag(&argv, "-h") {
         println!(
             "usage: asap_sim [--workload W] [--model baseline|hops|asap|eadr|bbb] \
@@ -63,28 +55,16 @@ fn run() -> i32 {
              [--zipf THETA] [--crash-at CYCLES] [--verify] \
              [--trace] [--trace-out PATH] \
              [--sample-out PATH] [--sample-every CYCLES]\n\nworkloads: {}",
-            WorkloadKind::all()
-                .iter()
-                .map(|w| w.label())
-                .collect::<Vec<_>>()
-                .join(", ")
+            workloads.join(", ")
         );
         return 0;
     }
 
-    let workload = parse_label(
-        &argv,
-        "--workload",
-        WorkloadKind::Cceh,
-        "see --help for the list",
-    );
-    let model = parse_label(
-        &argv,
-        "--model",
-        ModelKind::Asap,
-        "baseline|hops|asap|eadr|bbb",
-    );
-    let flavor = parse_label(&argv, "--flavor", Flavor::Release, "ep|rp");
+    let workload =
+        parse_label(&argv, "--workload", &workloads.join("|")).unwrap_or(WorkloadKind::Cceh);
+    let model =
+        parse_label(&argv, "--model", "baseline|hops|asap|eadr|bbb").unwrap_or(ModelKind::Asap);
+    let flavor = parse_label(&argv, "--flavor", "ep|rp").unwrap_or(Flavor::Release);
     let threads: usize = parse_arg_or(&argv, "--threads", 4);
     let ops: u64 = parse_arg_or(&argv, "--ops", 200);
     let seed: u64 = parse_arg_or(&argv, "--seed", 42);

@@ -19,33 +19,24 @@
 
 use asap_analysis::driver::{lint_run_with, AnalysisParams};
 use asap_analysis::waivers::BUILTIN_WAIVERS;
-use asap_harness::args::{arg_value as arg, has_flag, parse_arg};
+use asap_harness::args::{arg_value as arg, has_flag, parse_arg, parse_label};
 use asap_sim_core::{Flavor, ModelKind};
 use asap_workloads::WorkloadKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    let workloads: Vec<&str> = WorkloadKind::all().iter().map(|w| w.label()).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "usage: persist_lint [--workload W | --all-workloads] [--flavor ep|rp] \
              [--threads N] [--ops N] [--seed N] [--json PATH] \
              [--no-waivers] [--deny-warnings]\n\nworkloads: {}",
-            WorkloadKind::all()
-                .iter()
-                .map(|w| w.label())
-                .collect::<Vec<_>>()
-                .join(", ")
+            workloads.join(", ")
         );
         return;
     }
 
-    let flavor: Flavor = match arg(&args, "--flavor") {
-        None => Flavor::Release,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid value '{v}' for --flavor; known: ep|rp");
-            std::process::exit(2);
-        }),
-    };
+    let flavor = parse_label(&args, "--flavor", "ep|rp").unwrap_or(Flavor::Release);
     let mut p = AnalysisParams {
         flavor,
         ..AnalysisParams::default()
@@ -65,13 +56,7 @@ fn main() {
     let kinds: Vec<WorkloadKind> = if has_flag(&args, "--all-workloads") {
         WorkloadKind::all().to_vec()
     } else {
-        vec![match arg(&args, "--workload") {
-            None => WorkloadKind::Cceh,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value '{v}' for --workload; see --help");
-                std::process::exit(2);
-            }),
-        }]
+        vec![parse_label(&args, "--workload", &workloads.join("|")).unwrap_or(WorkloadKind::Cceh)]
     };
     let waivers: &[asap_analysis::Waiver] = if has_flag(&args, "--no-waivers") {
         &[]
@@ -79,9 +64,11 @@ fn main() {
         BUILTIN_WAIVERS
     };
 
+    let json = arg(&args, "--json");
+
     let run = lint_run_with(&kinds, &p, waivers);
     print!("{}", run.to_text());
-    if let Some(path) = arg(&args, "--json") {
+    if let Some(path) = json {
         if path == "-" {
             println!("{}", run.to_json());
         } else {

@@ -19,34 +19,25 @@
 
 use asap_analysis::driver::{race_findings, AnalysisParams};
 use asap_analysis::waivers::{partition, BUILTIN_WAIVERS};
-use asap_harness::args::{arg_value as arg, has_flag, parse_arg_or};
+use asap_harness::args::{has_flag, parse_arg_or, parse_label};
 use asap_harness::{run_race_check, RunSpec};
 use asap_sim_core::{Flavor, ModelKind, SimConfig};
 use asap_workloads::WorkloadKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    let workloads: Vec<&str> = WorkloadKind::all().iter().map(|w| w.label()).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "usage: race_check [--workload W | --all-workloads] \
              [--model hops|asap|eadr|bbb] [--flavor ep|rp] \
              [--threads N] [--ops N] [--seed N] [-v]\n\nworkloads: {}",
-            WorkloadKind::all()
-                .iter()
-                .map(|w| w.label())
-                .collect::<Vec<_>>()
-                .join(", ")
+            workloads.join(", ")
         );
         return;
     }
 
-    let model: ModelKind = match arg(&args, "--model") {
-        None => ModelKind::Asap,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid value '{v}' for --model; known: hops|asap|eadr|bbb");
-            std::process::exit(2);
-        }),
-    };
+    let model = parse_label(&args, "--model", "hops|asap|eadr|bbb").unwrap_or(ModelKind::Asap);
     if model == ModelKind::Baseline {
         eprintln!(
             "race_check needs a model that records ordering evidence; \
@@ -54,13 +45,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let flavor: Flavor = match arg(&args, "--flavor") {
-        None => Flavor::Release,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid value '{v}' for --flavor; known: ep|rp");
-            std::process::exit(2);
-        }),
-    };
+    let flavor = parse_label(&args, "--flavor", "ep|rp").unwrap_or(Flavor::Release);
     let defaults = AnalysisParams::default();
     let threads: usize = parse_arg_or(&args, "--threads", defaults.threads);
     let ops: u64 = parse_arg_or(&args, "--ops", defaults.ops_per_thread);
@@ -70,13 +55,7 @@ fn main() {
     let kinds: Vec<WorkloadKind> = if has_flag(&args, "--all-workloads") {
         WorkloadKind::all().to_vec()
     } else {
-        vec![match arg(&args, "--workload") {
-            None => WorkloadKind::Cceh,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value '{v}' for --workload; see --help");
-                std::process::exit(2);
-            }),
-        }]
+        vec![parse_label(&args, "--workload", &workloads.join("|")).unwrap_or(WorkloadKind::Cceh)]
     };
 
     let config = SimConfig::builder()

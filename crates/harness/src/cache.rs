@@ -10,11 +10,14 @@
 //! 1. **Keys** — [`run_spec_digest`]/[`traffic_spec_digest`] fold every
 //!    field that feeds the simulation (config digest, model, flavour,
 //!    workload, ops, seed, run mode) through the same FNV-1a used by
-//!    `SimConfig::digest`. Any spec change ⇒ a different key ⇒ a miss.
+//!    `SimConfig::digest`; [`explore_chunk_digest`] folds a crash-explorer
+//!    config's identity plus the chunk index. Any spec change ⇒ a
+//!    different key ⇒ a miss.
 //! 2. **Codecs** — [`encode_outcome`]/[`decode_outcome`] (and the
-//!    traffic pair) render an outcome as one `key=value` line and parse
-//!    it back **exactly**: histograms as sparse bucket lists, the one
-//!    `f64` by bit pattern. A decoded outcome compares equal to the
+//!    traffic and explorer-chunk pairs) render an outcome as one
+//!    `key=value` line and parse it back **exactly**: histograms as
+//!    sparse bucket lists, the one `f64` by bit pattern, violation
+//!    messages percent-escaped. A decoded outcome compares equal to the
 //!    original, so tables built from cached legs are byte-identical.
 //! 3. **Store** — [`OutcomeCache`] holds one checksummed file per key,
 //!    written atomically (temp file + rename). A truncated, corrupted
@@ -23,8 +26,12 @@
 
 use crate::runner::{RunManifest, RunOutcome, RunSpec};
 use crate::traffic::{TrafficOutcome, TrafficSpec};
-use asap_sim_core::{fnv1a_fold, Histogram, LogHistogram, Stats, FNV_OFFSET};
+use asap_analysis::explore::{ChunkResult, ExploreParams, ViolationHit};
+use asap_core::ViolationRule;
+use asap_sim_core::{fnv1a_fold, Histogram, LogHistogram, ModelKind, SimConfig, Stats, FNV_OFFSET};
+use asap_workloads::WorkloadKind;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,6 +80,36 @@ pub fn traffic_spec_digest(spec: &TrafficSpec) -> u64 {
         spec.traffic.update_fraction.to_bits(),
         spec.traffic.seed,
         spec.think,
+    ))
+}
+
+/// Cache key of crash-explorer verify chunk `chunk` of one (workload,
+/// model) config: the run-manifest fields that pin the collect run plus
+/// every explorer parameter, then the chunk index. The chunk's survivor
+/// points are a pure function of the rest, so they need no folding.
+pub fn explore_chunk_digest(
+    p: &ExploreParams,
+    workload: WorkloadKind,
+    model: ModelKind,
+    chunk: usize,
+) -> u64 {
+    let mut cfg = SimConfig::paper();
+    cfg.num_cores = cfg.num_cores.max(p.threads);
+    fnv1a(&format!(
+        "config={:016x} workload={} model={} flavor={:?} threads={} ops={} seed={} \
+         pad={} budget={} prune={} chunk={} broken={} index={chunk}",
+        cfg.digest(),
+        workload.label(),
+        model.label(),
+        p.flavor,
+        p.threads,
+        p.ops_per_thread,
+        p.seed,
+        p.pad,
+        p.points_budget,
+        p.prune.as_str(),
+        p.chunk,
+        p.broken_undo_every
     ))
 }
 
@@ -288,6 +325,98 @@ pub fn decode_traffic(line: &str) -> Option<TrafficOutcome> {
     m.is_empty().then_some(out)
 }
 
+/// Percent-escape `s` so it holds no whitespace and no `%`, `,` or `:`.
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for b in s.bytes() {
+        if b.is_ascii_graphic() && !matches!(b, b'%' | b',' | b':') {
+            out.push(b as char);
+        } else {
+            let _ = write!(out, "%{b:02X}");
+        }
+    }
+    out
+}
+
+fn unescape(s: &str) -> Option<String> {
+    let mut bytes = Vec::with_capacity(s.len());
+    let mut it = s.bytes();
+    while let Some(b) = it.next() {
+        bytes.push(if b == b'%' {
+            let hex = [it.next()?, it.next()?];
+            u8::from_str_radix(std::str::from_utf8(&hex).ok()?, 16).ok()?
+        } else {
+            b
+        });
+    }
+    String::from_utf8(bytes).ok()
+}
+
+/// Render a crash-explorer chunk result as one `key=value` line. Exact:
+/// kept violations travel as `cycle:rule:message` items, the message
+/// percent-escaped.
+pub fn encode_chunk(r: &ChunkResult) -> String {
+    let rules: Vec<String> = r.rule_counts.iter().map(u64::to_string).collect();
+    let violations: Vec<String> = r
+        .violations
+        .iter()
+        .map(|v| format!("{}:{}:{}", v.cycle, v.rule.as_str(), escape(&v.message)))
+        .collect();
+    format!(
+        "kind=chunk checked={} rules={} vchecked={} vmismatches={} undomax={} violations={}",
+        r.checked,
+        rules.join(","),
+        r.verify_checked,
+        r.verify_mismatches,
+        r.undo_max,
+        if violations.is_empty() {
+            "-".to_string()
+        } else {
+            violations.join(",")
+        },
+    )
+}
+
+fn dec_violation(item: &str) -> Option<ViolationHit> {
+    let mut it = item.splitn(3, ':');
+    let cycle = it.next()?.parse().ok()?;
+    let rule = it.next()?;
+    Some(ViolationHit {
+        cycle,
+        rule: *ViolationRule::ALL.iter().find(|r| r.as_str() == rule)?,
+        message: unescape(it.next()?)?,
+    })
+}
+
+/// Parse a line produced by [`encode_chunk`]; same strictness contract
+/// as [`decode_outcome`].
+pub fn decode_chunk(line: &str) -> Option<ChunkResult> {
+    let mut m = token_map(line)?;
+    if m.remove("kind")? != "chunk" {
+        return None;
+    }
+    let mut rule_counts = [0u64; 6];
+    let mut rules = m.remove("rules")?.split(',');
+    for slot in &mut rule_counts {
+        *slot = rules.next()?.parse().ok()?;
+    }
+    if rules.next().is_some() {
+        return None;
+    }
+    let out = ChunkResult {
+        checked: m.remove("checked")?.parse().ok()?,
+        rule_counts,
+        violations: match m.remove("violations")? {
+            "-" => Vec::new(),
+            list => list.split(',').map(dec_violation).collect::<Option<_>>()?,
+        },
+        verify_checked: m.remove("vchecked")?.parse().ok()?,
+        verify_mismatches: m.remove("vmismatches")?.parse().ok()?,
+        undo_max: m.remove("undomax")?.parse().ok()?,
+    };
+    m.is_empty().then_some(out)
+}
+
 // -------------------------------------------------------------------
 // On-disk store
 // -------------------------------------------------------------------
@@ -457,6 +586,111 @@ mod tests {
         assert!(decode_outcome(&line.replace("kind=run", "kind=x")).is_none());
         assert!(decode_outcome(&line[..line.len() / 2]).is_none());
         assert!(decode_outcome(&line.replace("alldone=1", "alldone=2")).is_none());
+    }
+
+    /// The verify-chunk results of one quick queue/ASAP config, with
+    /// every undo record dropped when `broken`.
+    fn chunk_results(broken: bool) -> Vec<ChunkResult> {
+        use asap_analysis::explore::{pass1, verify_chunk};
+        let p = ExploreParams {
+            workloads: vec![WorkloadKind::Queue],
+            models: vec![ModelKind::Asap],
+            ops_per_thread: 6,
+            points_budget: 256,
+            chunk: 64,
+            broken_undo_every: broken as u64,
+            ..ExploreParams::default()
+        };
+        let plan = pass1(&p, WorkloadKind::Queue, ModelKind::Asap);
+        plan.chunks
+            .iter()
+            .map(|c| verify_chunk(&p, WorkloadKind::Queue, ModelKind::Asap, c))
+            .collect()
+    }
+
+    #[test]
+    fn chunk_codec_round_trips_clean_and_violating_chunks() {
+        let clean = chunk_results(false);
+        let broken = chunk_results(true);
+        assert!(clean
+            .iter()
+            .all(|r| r.violations.is_empty() && r.checked > 0));
+        assert!(
+            broken.iter().any(|r| !r.violations.is_empty()),
+            "the broken fixture must violate"
+        );
+        // A message using every character the encoder escapes.
+        let mut odd = broken[0].clone();
+        odd.violations.push(ViolationHit {
+            cycle: u64::MAX,
+            rule: ViolationRule::TornValue,
+            message: "a b,c:d%e\tf\ng é=h".to_string(),
+        });
+        odd.violations.push(ViolationHit {
+            cycle: 0,
+            rule: ViolationRule::DepCycle,
+            message: String::new(),
+        });
+        for r in clean.iter().chain(&broken).chain([&odd]) {
+            let line = encode_chunk(r);
+            assert!(!line.contains('\n'), "{line}");
+            assert_eq!(decode_chunk(&line).as_ref(), Some(r), "{line}");
+        }
+    }
+
+    #[test]
+    fn chunk_decode_rejects_tampered_duplicate_and_unknown_keys() {
+        let broken = chunk_results(true);
+        let r = broken
+            .iter()
+            .find(|r| !r.violations.is_empty())
+            .expect("a violating chunk");
+        let line = encode_chunk(r);
+        assert!(decode_chunk(&line).is_some());
+        for bad in [
+            String::new(),
+            "kind=chunk".to_string(),
+            line[..line.len() / 2].to_string(),
+            line.replace("kind=chunk", "kind=run"),
+            line.replace("rules=", "rules=1,"),
+            line.replace("violations=", "violations=x"),
+            line.replace(":ordering-violated:", ":no-such-rule:"),
+            line.replace("violations=", "violations=1:dep-cycle:%G1,"),
+            line.replace("violations=", "violations=1:dep-cycle:%4,"),
+            format!("{line} checked=7"),
+            format!("{line} extra=1"),
+            line.replacen(" checked=", " ", 1),
+        ] {
+            assert_eq!(decode_chunk(&bad), None, "accepted: {bad}");
+        }
+        // The run and traffic codecs refuse a chunk line, and vice versa.
+        assert!(decode_outcome(&line).is_none());
+        assert!(decode_chunk(&encode_outcome(&run_once(&tiny_spec()))).is_none());
+    }
+
+    #[test]
+    fn chunk_digest_is_sensitive_to_identity_and_index() {
+        let p = ExploreParams::default();
+        let (w, m) = (WorkloadKind::Queue, ModelKind::Asap);
+        let d = explore_chunk_digest(&p, w, m, 0);
+        assert_eq!(d, explore_chunk_digest(&p.clone(), w, m, 0));
+        let reseeded = ExploreParams {
+            seed: 8,
+            ..p.clone()
+        };
+        let rechunked = ExploreParams {
+            chunk: 64,
+            ..p.clone()
+        };
+        for other in [
+            explore_chunk_digest(&p, w, m, 1),
+            explore_chunk_digest(&p, WorkloadKind::Cceh, m, 0),
+            explore_chunk_digest(&p, w, ModelKind::Eadr, 0),
+            explore_chunk_digest(&reseeded, w, m, 0),
+            explore_chunk_digest(&rechunked, w, m, 0),
+        ] {
+            assert_ne!(d, other);
+        }
     }
 
     #[test]

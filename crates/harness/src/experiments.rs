@@ -1,8 +1,9 @@
 //! The evaluation's figures as data (paper §VII).
 //!
-//! Every figure is one [`Figure`] of [`FIGURES`]: a spec builder that
-//! lays the whole sweep out as a flat `Vec<RunSpec>`, and a table
-//! builder that assembles rows from the outcomes by index. One runner,
+//! Every figure, and Table V, is one [`Figure`] of [`FIGURES`]: a spec
+//! builder that lays the whole sweep out as a flat `Vec<RunSpec>`
+//! (empty for the analytical Table V), and a table builder that
+//! assembles rows from the outcomes by index. One runner,
 //! [`crate::exec::sweep_figure`], drives any entry through the sweep
 //! executor (pool, outcome cache, resume journal, shards), and
 //! `asap_sweep <name>` is its command line. Outcomes come back in spec
@@ -11,8 +12,9 @@
 //! its legs were executed. A new model's columns are an edit to a spec
 //! and a table builder, not a new binary.
 
+use crate::hwcost;
 use crate::report::{f2, Table};
-use crate::runner::{run_once, RunOutcome, RunSpec};
+use crate::runner::{RunOutcome, RunSpec};
 use asap_core::{Flavor, ModelKind};
 use asap_sim_core::{Cycle, SimConfig, SimConfigBuilder};
 use asap_workloads::WorkloadKind;
@@ -66,8 +68,8 @@ pub struct Figure {
     pub tables: fn(&[RunOutcome]) -> Vec<Table>,
 }
 
-/// Every figure of the evaluation, in paper order.
-pub static FIGURES: [Figure; 9] = [
+/// Every figure of the evaluation in paper order, then Table V.
+pub static FIGURES: [Figure; 10] = [
     Figure {
         name: "fig02",
         specs: fig02_specs,
@@ -121,6 +123,12 @@ pub static FIGURES: [Figure; 9] = [
         specs: ablation_specs,
         windowed: false,
         tables: ablation_tables,
+    },
+    Figure {
+        name: "tab05",
+        specs: |_| Vec::new(),
+        windowed: false,
+        tables: tab05_tables,
     },
 ];
 
@@ -703,15 +711,14 @@ fn hops_asap_table<K: ToString>(title: &str, key: &str, keys: &[K], outs: &[RunO
     t
 }
 
-/// Convenience: the Table VI stat listing for one run (gem5-style).
-pub fn stats_txt(
-    model: ModelKind,
-    flavor: Flavor,
-    w: WorkloadKind,
-    scale: ExperimentScale,
-) -> String {
-    let out: RunOutcome = run_once(&spec(model, flavor, w, scale));
-    out.stats.snapshot().to_stats_txt()
+// -------------------------------------------------------------------
+// Table V
+// -------------------------------------------------------------------
+
+/// Table V (hardware cost) and the §VII-D drain comparison: analytical,
+/// so the entry has no legs.
+fn tab05_tables(_: &[RunOutcome]) -> Vec<Table> {
+    vec![hwcost::table5(), hwcost::drain_comparison(32)]
 }
 
 #[cfg(test)]
@@ -719,6 +726,7 @@ mod tests {
     use super::*;
     use crate::args::SweepArgs;
     use crate::exec::sweep_figure;
+    use crate::runner::run_once;
 
     fn tiny() -> ExperimentScale {
         ExperimentScale {

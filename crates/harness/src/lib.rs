@@ -25,9 +25,10 @@
 //! | `fig12` | Fig. 12 — RT max occupancy, 4 vs 8 threads |
 //! | `fig13` | Fig. 13 — system write-bandwidth utilization |
 //! | `ablations` | DESIGN.md ablations (RT/PB size, NVM latency, MC count) |
+//! | `tab05` | Table V — hardware cost ([`hwcost::table5`], no legs) |
 //!
-//! Table V (hardware cost, an analytical CACTI substitute) needs no
-//! simulation: [`hwcost::table5`], printed by `tab05_hwcost`.
+//! Table V is an analytical CACTI substitute, so its entry has no legs:
+//! its tables come straight from [`hwcost`].
 //!
 //! # Example
 //!
@@ -78,17 +79,10 @@ pub fn cli_footer(started: std::time::Instant) {
 }
 
 /// Emit a result table per the shared CLI convention: markdown to stdout,
-/// plus CSV when `--csv` was passed, plus an ASCII bar chart of a chosen
-/// column when `--bars <column>` was passed.
+/// plus CSV when `--csv` was passed.
 pub fn cli_emit(table: &Table) {
     println!("{}", table.to_markdown());
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--csv") {
+    if std::env::args().any(|a| a == "--csv") {
         println!("{}", table.to_csv());
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bars") {
-        if let Some(col) = args.get(i + 1) {
-            println!("{}", table.to_bars(col));
-        }
     }
 }

@@ -311,11 +311,26 @@ impl TrafficScale {
 
 /// Append one leg's row to a traffic table.
 pub fn push_traffic_row(table: &mut Table, spec: &TrafficSpec, out: &TrafficOutcome) {
+    let load = [
+        spec.traffic.arrival.to_string(),
+        spec.traffic.mean_gap.to_string(),
+    ];
+    push_row(table, spec, load, out);
+}
+
+/// The one row builder of generated and replayed legs: `arrival` and
+/// `gap` fill the offered-load columns.
+fn push_row(
+    table: &mut Table,
+    spec: &TrafficSpec,
+    [arrival, gap]: [String; 2],
+    out: &TrafficOutcome,
+) {
     table.push_row(vec![
         spec.app.to_string(),
         spec.model.to_string(),
-        spec.traffic.arrival.to_string(),
-        spec.traffic.mean_gap.to_string(),
+        arrival,
+        gap,
         out.requests.to_string(),
         format!("{:.2}", out.throughput_per_mcycle()),
         out.lat.total.percentile(50.0).to_string(),
@@ -364,6 +379,21 @@ pub fn table_from_runs(specs: &[TrafficSpec], outs: &[TrafficOutcome]) -> Table 
     );
     for (spec, out) in specs.iter().zip(outs) {
         push_traffic_row(&mut table, spec, out);
+    }
+    table
+}
+
+/// The latency table of legs that replayed the trace file `path`: the
+/// trace fixes the arrivals, so the offered-load columns read `replay`
+/// and `-`.
+pub fn replay_table(path: &str, specs: &[TrafficSpec], outs: &[TrafficOutcome]) -> Table {
+    assert_eq!(specs.len(), outs.len(), "one outcome per spec");
+    let mut table = Table::new(
+        format!("Open-loop traffic: replay of {path} (cycles)"),
+        &TRAFFIC_HEADERS,
+    );
+    for (spec, out) in specs.iter().zip(outs) {
+        push_row(&mut table, spec, ["replay".into(), "-".into()], out);
     }
     table
 }

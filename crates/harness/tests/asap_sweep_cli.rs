@@ -143,6 +143,10 @@ fn bad_usage_exits_two() {
         vec!["fig08", "--shard", "2/2"],  // index out of range
         vec!["fig08", "--resume"],        // resume without cache
         vec!["fig08", "--ops", "banana"], // malformed number
+        vec!["fig13", "--cache-dir"],     // string flag without a value
+        vec!["fig13", "--cache-dir", "--resume"],
+        vec!["fig13", "--cache-stats"],
+        vec!["traffic", "--replay", "--json"],
     ] {
         let out = sweep(&argv);
         assert_eq!(
@@ -162,4 +166,21 @@ fn unknown_sweep_lists_the_registry() {
     for name in ["fig02", "fig13", "ablations", "traffic"] {
         assert!(err.contains(name), "{name} missing from: {err}");
     }
+}
+
+#[test]
+fn tab05_prints_table_five_and_the_drain_comparison() {
+    let out = sweep(&["tab05"]);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    assert!(
+        stdout.contains("### Table V: hardware overheads"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("| Recovery Table |"), "{stdout}");
+    assert!(
+        stdout.contains("### ADR drain on power failure"),
+        "{stdout}"
+    );
+    assert!(stderr_of(&out).contains("0 legs"), "{}", stderr_of(&out));
 }

@@ -1,11 +1,11 @@
-//! End-to-end CLI argument handling for the `asap_sim` and `stats_txt`
-//! binaries.
+//! End-to-end CLI argument handling for the `asap_sim` binary.
 //!
 //! Pins the fix for silent flag swallowing: a malformed numeric value
 //! used to parse to `None` and quietly fall back to the default
-//! (`--crash-at 12x` ran with *no crash at all*). Now every malformed
-//! value must exit non-zero with a diagnostic naming the flag and the
-//! offending value — never a panic.
+//! (`--crash-at 12x` ran with *no crash at all*), and a string flag
+//! with no value was ignored (`--trace-out` wrote no trace). Now every
+//! malformed or missing value must exit non-zero with a diagnostic
+//! naming the flag — never a panic.
 
 use std::process::{Command, Output};
 
@@ -14,13 +14,6 @@ fn asap_sim(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn asap_sim")
-}
-
-fn stats_txt(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_stats_txt"))
-        .args(args)
-        .output()
-        .expect("spawn stats_txt")
 }
 
 fn stderr_of(out: &Output) -> String {
@@ -61,9 +54,23 @@ fn unknown_model_exits_nonzero() {
 
 #[test]
 fn flag_missing_its_value_exits_nonzero() {
-    let out = asap_sim(&["--ops"]);
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
-    assert!(stderr_of(&out).contains("requires a value"));
+    // Numeric and string flags alike, at the end or followed directly
+    // by another flag.
+    for argv in [
+        vec!["--ops"],
+        vec!["--trace-out"],
+        vec!["--workload"],
+        vec!["--workload", "--ops", "10"],
+        vec!["--sample-out", "--trace"],
+    ] {
+        let out = asap_sim(&argv);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "argv {argv:?}: {err}");
+        assert!(
+            err.contains(&format!("{} requires a value", argv[0])),
+            "{err}"
+        );
+    }
 }
 
 #[test]
@@ -89,13 +96,19 @@ fn valid_tiny_run_succeeds_and_prints_manifest() {
 }
 
 #[test]
-fn stats_txt_unknown_names_exit_two_listing_known_ones() {
+fn unknown_workload_model_flavor_exit_two_listing_known_ones() {
     for (argv, known) in [
-        (vec!["banana"], "p-clht"),
-        (vec!["cceh", "nope"], "baseline|hops|asap|eadr|bbb"),
-        (vec!["cceh", "asap", "bogus"], "ep|rp"),
+        (vec!["--workload", "banana"], "p-clht"),
+        (
+            vec!["--workload", "cceh", "--model", "nope"],
+            "baseline|hops|asap|eadr|bbb",
+        ),
+        (
+            vec!["--workload", "cceh", "--model", "asap", "--flavor", "bogus"],
+            "ep|rp",
+        ),
     ] {
-        let out = stats_txt(&argv);
+        let out = asap_sim(&argv);
         let err = stderr_of(&out);
         assert_eq!(out.status.code(), Some(2), "argv {argv:?}: {err}");
         assert!(err.contains(argv[argv.len() - 1]), "{err}");

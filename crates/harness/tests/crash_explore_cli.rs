@@ -1,6 +1,7 @@
 //! End-to-end tests for the `crash_explore` binary: worker-count
 //! independence of the report bytes, the broken-model fixture contract,
-//! the coverage assertions, and the result cache.
+//! the coverage assertions, strict flag values, and the chunk-granular
+//! result cache.
 
 use std::process::{Command, Output};
 
@@ -167,4 +168,88 @@ fn cache_round_trips_and_marks_hits() {
     assert!(!stdout_of(&out).contains("(cached)"));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn string_flag_missing_its_value_exits_two() {
+    // A flag at the end, or followed directly by another flag.
+    for (flag, next) in [
+        ("--json", None),
+        ("--cache-dir", None),
+        ("--flavor", None),
+        ("--cache-dir", Some("--expect-violation")),
+        ("--models", Some("--broken-fixture")),
+    ] {
+        let mut args = vec!["--ops", "2", flag];
+        args.extend(next);
+        let out = explore(&args);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(&format!("{flag} requires a value")), "{err}");
+        assert!(stdout_of(&out).is_empty(), "{args:?} ran the explorer");
+    }
+}
+
+#[test]
+fn deleting_one_chunk_entry_resimulates_exactly_one_leg() {
+    let dir = std::env::temp_dir().join(format!("crash_explore_chunks_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().expect("utf8 temp dir");
+    // Two configs of several chunks each.
+    let args = [
+        "--workloads",
+        "queue",
+        "--models",
+        "asap,eadr",
+        "--points-budget",
+        "256",
+        "--chunk",
+        "64",
+        "--cache-dir",
+        dir_s,
+    ];
+
+    let cold = explore(&args);
+    assert!(cold.status.success(), "stderr: {}", stderr_of(&cold));
+    let entries: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+        .expect("cache dir written")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "entry"))
+        .collect();
+    assert!(entries.len() > 1, "one entry per chunk: {entries:?}");
+    let warm = explore(&args);
+    assert!(
+        stderr_of(&warm).contains(&format!("= {} cached + 0 simulated", entries.len())),
+        "{}",
+        stderr_of(&warm)
+    );
+
+    std::fs::remove_file(&entries[0]).expect("delete one chunk entry");
+    let resumed = explore(&args);
+    assert!(resumed.status.success(), "stderr: {}", stderr_of(&resumed));
+    assert!(
+        stderr_of(&resumed).contains(&format!("= {} cached + 1 simulated", entries.len() - 1)),
+        "exactly one leg re-runs: {}",
+        stderr_of(&resumed)
+    );
+    let text = stdout_of(&resumed);
+    assert_eq!(
+        text.matches(" (cached)").count(),
+        1,
+        "only the untouched config is fully cached: {text}"
+    );
+    assert_eq!(text.replace(" (cached)", ""), stdout_of(&cold));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn broken_fixture_never_opens_the_cache() {
+    let dir = std::env::temp_dir().join(format!("crash_explore_broken_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut args = QUICK.to_vec();
+    args.extend(["--broken-fixture", "--cache-dir", dir.to_str().unwrap()]);
+    let out = explore(&args);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
+    assert!(!dir.exists(), "a broken run must not create the cache");
 }

@@ -1,15 +1,16 @@
-//! End-to-end CLI behaviour of the `traffic_sim` binary: strict flag
+//! End-to-end CLI behaviour of `asap_sweep traffic`: strict flag
 //! parsing (malformed values exit 2 with a diagnostic, never a silent
 //! default), report shape, worker-count byte-equality, and the
 //! emit-trace/replay round trip.
 
 use std::process::{Command, Output};
 
-fn traffic_sim(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_traffic_sim"))
+fn traffic(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_asap_sweep"))
+        .arg("traffic")
         .args(args)
         .output()
-        .expect("spawn traffic_sim")
+        .expect("spawn asap_sweep traffic")
 }
 
 fn stderr_of(out: &Output) -> String {
@@ -34,7 +35,7 @@ const TINY: &[&str] = &[
 
 #[test]
 fn malformed_gap_exits_two_naming_flag_and_value() {
-    let out = traffic_sim(&["--gap", "12x"]);
+    let out = traffic(&["--gap", "12x"]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
     let err = stderr_of(&out);
     assert!(err.contains("--gap"), "{err}");
@@ -43,14 +44,14 @@ fn malformed_gap_exits_two_naming_flag_and_value() {
 
 #[test]
 fn zero_gap_exits_two() {
-    let out = traffic_sim(&["--gap", "0"]);
+    let out = traffic(&["--gap", "0"]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
     assert!(stderr_of(&out).contains("--gap"));
 }
 
 #[test]
 fn malformed_requests_exits_two() {
-    let out = traffic_sim(&["--requests", "many"]);
+    let out = traffic(&["--requests", "many"]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
     let err = stderr_of(&out);
     assert!(err.contains("--requests"), "{err}");
@@ -64,7 +65,7 @@ fn unknown_app_model_arrival_exit_two() {
         ("--model", "nope"),
         ("--arrival", "calendar"),
     ] {
-        let out = traffic_sim(&[flag, bad]);
+        let out = traffic(&[flag, bad]);
         assert_eq!(
             out.status.code(),
             Some(2),
@@ -81,25 +82,27 @@ fn unknown_app_model_arrival_exit_two() {
 
 #[test]
 fn out_of_range_update_fraction_and_zipf_exit_two() {
-    let out = traffic_sim(&["--update-fraction", "1.5"]);
+    let out = traffic(&["--update-fraction", "1.5"]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
     assert!(stderr_of(&out).contains("--update-fraction"));
 
-    let out = traffic_sim(&["--zipf", "1.0"]);
+    let out = traffic(&["--zipf", "1.0"]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
     assert!(stderr_of(&out).contains("--zipf"));
 }
 
 #[test]
 fn flag_missing_its_value_exits_two() {
-    let out = traffic_sim(&["--requests"]);
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
-    assert!(stderr_of(&out).contains("requires a value"));
+    for argv in [&["--requests"][..], &["--replay"], &["--app", "--json"]] {
+        let out = traffic(argv);
+        assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+        assert!(stderr_of(&out).contains("requires a value"));
+    }
 }
 
 #[test]
 fn tiny_sweep_prints_the_latency_table() {
-    let out = traffic_sim(TINY);
+    let out = traffic(TINY);
     assert!(out.status.success(), "stderr: {}", stderr_of(&out));
     let stdout = stdout_of(&out);
     assert!(stdout.contains("Open-loop traffic"), "{stdout}");
@@ -118,12 +121,12 @@ fn tiny_sweep_prints_the_latency_table() {
 
 #[test]
 fn stdout_is_byte_identical_across_worker_counts() {
-    let base = traffic_sim(&["--requests", "500", "--gap", "700", "--model", "asap"]);
+    let base = traffic(&["--requests", "500", "--gap", "700", "--model", "asap"]);
     assert!(base.status.success(), "stderr: {}", stderr_of(&base));
     for extra in [&["--workers", "1"][..], &["--workers", "4"][..]] {
         let mut args = vec!["--requests", "500", "--gap", "700", "--model", "asap"];
         args.extend_from_slice(extra);
-        let out = traffic_sim(&args);
+        let out = traffic(&args);
         assert!(out.status.success(), "stderr: {}", stderr_of(&out));
         assert_eq!(
             stdout_of(&base),
@@ -137,7 +140,7 @@ fn stdout_is_byte_identical_across_worker_counts() {
 fn json_lines_carry_leg_provenance() {
     let mut args = TINY.to_vec();
     args.push("--json");
-    let out = traffic_sim(&args);
+    let out = traffic(&args);
     assert!(out.status.success(), "stderr: {}", stderr_of(&out));
     let stdout = stdout_of(&out);
     let json: Vec<&str> = stdout.lines().filter(|l| l.starts_with('{')).collect();
@@ -163,7 +166,7 @@ fn emit_trace_then_replay_round_trips() {
 
     let mut emit = TINY.to_vec();
     emit.extend_from_slice(&["--emit-trace", path_s]);
-    let out = traffic_sim(&emit);
+    let out = traffic(&emit);
     assert!(out.status.success(), "stderr: {}", stderr_of(&out));
     let text = std::fs::read_to_string(&path).expect("trace written");
     assert!(text.starts_with("# asap-traffic v1\n"), "{text}");
@@ -171,7 +174,7 @@ fn emit_trace_then_replay_round_trips() {
 
     let mut replay = TINY.to_vec();
     replay.extend_from_slice(&["--replay", path_s]);
-    let out = traffic_sim(&replay);
+    let out = traffic(&replay);
     assert!(out.status.success(), "stderr: {}", stderr_of(&out));
     let stdout = stdout_of(&out);
     assert!(stdout.contains("replay"), "{stdout}");
@@ -187,7 +190,7 @@ fn malformed_trace_file_exits_two_with_line_number() {
     let path = dir.join("bad.trace");
     std::fs::write(&path, "# asap-traffic v1\n10 get 1\n20 frob 2\n").expect("write");
 
-    let out = traffic_sim(&["--replay", path.to_str().expect("utf-8 path")]);
+    let out = traffic(&["--replay", path.to_str().expect("utf-8 path")]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
     let err = stderr_of(&out);
     assert!(err.contains("line 3"), "{err}");
@@ -198,7 +201,7 @@ fn malformed_trace_file_exits_two_with_line_number() {
 
 #[test]
 fn missing_replay_file_exits_two() {
-    let out = traffic_sim(&["--replay", "/nonexistent/asap.trace"]);
+    let out = traffic(&["--replay", "/nonexistent/asap.trace"]);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
     assert!(stderr_of(&out).contains("--replay"));
 }

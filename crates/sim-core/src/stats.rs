@@ -15,8 +15,9 @@
 //! | `totalUndo` | undo records created |
 //!
 //! Beyond Table VI, [`Stats`] carries the memory-system counters needed by
-//! Figures 9, 12 and 13 (PM reads/writes, NACKs, RT occupancy) and
-//! occupancy histograms for Figure 11.
+//! Figures 9 and 13 (PM reads/writes, NACKs) and the time-weighted PB
+//! occupancy histogram of Figure 11. Its RT, ET and WPQ histograms are
+//! not time-weighted; see each field for what it samples.
 
 use crate::time::Cycle;
 use std::collections::BTreeMap;
@@ -268,11 +269,15 @@ pub struct Stats {
     // ---- occupancy distributions ----
     /// Time-weighted persist-buffer occupancy (Figure 11).
     pub pb_occupancy: Histogram,
-    /// Time-weighted recovery-table occupancy; `max()` gives Figure 12.
+    /// Recovery-table occupancy, one sample per RT event (an undo or
+    /// delay record created, an epoch commit) plus the largest per-MC
+    /// maximum at the end of the run. Not time-weighted: Figure 12 reads
+    /// the harness's `RunOutcome::rt_max_occupancy`, not this histogram.
     pub rt_occupancy: Histogram,
-    /// Epoch-table occupancy.
+    /// Epoch-table occupancy: one end-of-run sample per core.
     pub et_occupancy: Histogram,
-    /// WPQ occupancy.
+    /// WPQ occupancy. Never recorded by the engine, so it stays empty
+    /// and its percentiles read 0 on every workload.
     pub wpq_occupancy: Histogram,
 }
 
