@@ -372,20 +372,6 @@ impl Sim {
         }
     }
 
-    /// Reset the statistics block, starting a fresh measurement region
-    /// (the gem5 artifact's warmup → ROI transition). Component-level
-    /// high-water marks that describe hardware sizing (recovery-table
-    /// max occupancy) intentionally keep their whole-run values.
-    pub fn reset_stats(&mut self) {
-        self.engine.stats = Stats::new();
-        let now = self.engine.now;
-        for c in &mut self.engine.cores {
-            c.pb_occ_last = now;
-            c.pb_blocked_since = None;
-            c.ops_completed = 0;
-        }
-    }
-
     /// Simulate a power failure *now*: battery-backed buffers drain
     /// (model hook), ADR drains the WPQs (already reflected in the NVM
     /// image) and the undo records write back (§V-E), then the recovered

@@ -1,4 +1,4 @@
-//! Strict CLI flag parsing shared by the harness (and bench) binaries.
+//! Strict CLI flag parsing shared by the harness binaries.
 //!
 //! The binaries previously parsed numeric flags with
 //! `arg(..).and_then(|s| s.parse().ok()).unwrap_or(default)`, which
@@ -11,6 +11,7 @@
 //! `--flag` does, for string flags as for numeric ones:
 //! `--cache-dir --resume` is an error, not a directory named `--resume`.
 
+use asap_sim_core::SimConfig;
 use std::fmt::Display;
 use std::str::FromStr;
 
@@ -93,6 +94,18 @@ where
     parse_arg(args, name).unwrap_or(default)
 }
 
+/// Parse `--threads N`, the simulated core count, into the paper
+/// configuration with that many cores. A count that
+/// `SimConfigBuilder::build` rejects (zero) exits with status 2, naming
+/// the flag and carrying its `ConfigError`.
+pub fn threads_config(args: &[String], default: usize) -> SimConfig {
+    let threads = parse_arg_or(args, "--threads", default);
+    SimConfig::builder()
+        .cores(threads)
+        .build()
+        .unwrap_or_else(|e| usage_error(&format!("invalid value '{threads}' for --threads: {e}")))
+}
+
 /// One slice of a sweep for cross-machine sharding: shard `index` of
 /// `of` owns the legs whose index is `index (mod of)`. Parsed from the
 /// CLI as `i/n` (e.g. `--shard 0/2`).
@@ -131,7 +144,7 @@ impl FromStr for Shard {
     }
 }
 
-/// The sweep-wide flag set shared by every harness (and bench) binary,
+/// The sweep-wide flag set shared by every harness binary,
 /// replacing the per-binary copies of `--threads`/`--workers` parsing:
 ///
 /// | flag | effect |

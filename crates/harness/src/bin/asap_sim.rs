@@ -33,7 +33,7 @@
 use asap_core::{Flavor, ModelKind, SimBuilder};
 use asap_harness::args::{self, parse_arg, parse_arg_or, parse_label};
 use asap_harness::{RunManifest, RunSpec};
-use asap_sim_core::{ChromeTracer, Cycle, SimConfig, TextTracer};
+use asap_sim_core::{ChromeTracer, Cycle, TextTracer};
 use asap_workloads::{make_workload, recovery, WorkloadKind, WorkloadParams};
 use std::fs::File;
 use std::io::BufWriter;
@@ -65,7 +65,8 @@ fn run() -> i32 {
     let model =
         parse_label(&argv, "--model", "baseline|hops|asap|eadr|bbb").unwrap_or(ModelKind::Asap);
     let flavor = parse_label(&argv, "--flavor", "ep|rp").unwrap_or(Flavor::Release);
-    let threads: usize = parse_arg_or(&argv, "--threads", 4);
+    let cfg = args::threads_config(&argv, 4);
+    let threads = cfg.num_cores;
     let ops: u64 = parse_arg_or(&argv, "--ops", 200);
     let seed: u64 = parse_arg_or(&argv, "--seed", 42);
     let crash_at: Option<u64> = parse_arg(&argv, "--crash-at");
@@ -80,10 +81,6 @@ fn run() -> i32 {
         zipf_theta: zipf,
         ..Default::default()
     };
-    let cfg = SimConfig::builder()
-        .cores(threads)
-        .build()
-        .expect("valid config");
     let mut builder = SimBuilder::new(cfg.clone(), model, flavor)
         .programs(make_workload(workload, &params))
         .with_journal();
@@ -98,6 +95,11 @@ fn run() -> i32 {
         builder = builder.tracer(Box::new(TextTracer::stderr()));
     }
     if let Some(path) = args::arg_value(&argv, "--sample-out") {
+        if sample_every == 0 {
+            args::usage_error(
+                "invalid value '0' for --sample-every: the interval must be >= 1 cycle",
+            );
+        }
         let file = File::create(&path).unwrap_or_else(|e| {
             eprintln!("error: cannot create --sample-out {path}: {e}");
             std::process::exit(2);

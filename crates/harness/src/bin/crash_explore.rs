@@ -44,7 +44,8 @@ use asap_analysis::explore::{
     assemble_config, pass1, verify_chunk, ChunkResult, CrashSpaceReport, ExploreParams, Pass1,
 };
 use asap_harness::args::{
-    arg_value as arg, has_flag, parse_arg, parse_arg_or, parse_label, usage_error, SweepArgs,
+    arg_value as arg, has_flag, parse_arg, parse_arg_or, parse_label, threads_config, usage_error,
+    SweepArgs,
 };
 use asap_harness::cache;
 use asap_harness::exec::{complete_outcomes, run_sweep};
@@ -112,7 +113,7 @@ fn main() {
     if let Some(flavor) = parse_label(&argv, "--flavor", "ep|rp") {
         p.flavor = flavor;
     }
-    p.threads = parse_arg_or(&argv, "--threads", p.threads);
+    p.threads = threads_config(&argv, p.threads).num_cores;
     p.ops_per_thread = parse_arg_or(&argv, "--ops", p.ops_per_thread);
     p.seed = parse_arg_or(&argv, "--seed", p.seed);
     p.pad = parse_arg_or(&argv, "--pad", p.pad);

@@ -19,7 +19,7 @@
 
 use asap_analysis::driver::{lint_run_with, AnalysisParams};
 use asap_analysis::waivers::BUILTIN_WAIVERS;
-use asap_harness::args::{arg_value as arg, has_flag, parse_arg, parse_label};
+use asap_harness::args::{arg_value as arg, has_flag, parse_arg, parse_label, threads_config};
 use asap_sim_core::{Flavor, ModelKind};
 use asap_workloads::WorkloadKind;
 
@@ -41,9 +41,7 @@ fn main() {
         flavor,
         ..AnalysisParams::default()
     };
-    if let Some(n) = parse_arg(&args, "--threads") {
-        p.threads = n;
-    }
+    p.threads = threads_config(&args, p.threads).num_cores;
     if let Some(n) = parse_arg(&args, "--ops") {
         p.ops_per_thread = n;
     }

@@ -19,9 +19,9 @@
 
 use asap_analysis::driver::{race_findings, AnalysisParams};
 use asap_analysis::waivers::{partition, BUILTIN_WAIVERS};
-use asap_harness::args::{has_flag, parse_arg_or, parse_label};
+use asap_harness::args::{has_flag, parse_arg_or, parse_label, threads_config};
 use asap_harness::{run_race_check, RunSpec};
-use asap_sim_core::{Flavor, ModelKind, SimConfig};
+use asap_sim_core::{Flavor, ModelKind};
 use asap_workloads::WorkloadKind;
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
     }
     let flavor = parse_label(&args, "--flavor", "ep|rp").unwrap_or(Flavor::Release);
     let defaults = AnalysisParams::default();
-    let threads: usize = parse_arg_or(&args, "--threads", defaults.threads);
+    let config = threads_config(&args, defaults.threads);
     let ops: u64 = parse_arg_or(&args, "--ops", defaults.ops_per_thread);
     let seed: u64 = parse_arg_or(&args, "--seed", defaults.seed);
     let verbose = has_flag(&args, "-v");
@@ -58,10 +58,6 @@ fn main() {
         vec![parse_label(&args, "--workload", &workloads.join("|")).unwrap_or(WorkloadKind::Cceh)]
     };
 
-    let config = SimConfig::builder()
-        .cores(threads)
-        .build()
-        .expect("valid config");
     let mut fatal = 0usize;
     for kind in kinds {
         let spec = RunSpec {

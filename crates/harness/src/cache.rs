@@ -46,8 +46,8 @@ pub fn fnv1a(text: &str) -> u64 {
 
 /// Cache key of a closed-loop sweep leg. `mode` distinguishes run
 /// styles that share a spec but execute differently (`"complete"` for
-/// [`crate::run_once`]; windowed/ROI runs would pass `"window:N"` /
-/// `"roi:N"`). Every field that can change the outcome is folded in.
+/// [`crate::run_once`], `"window:N"` for [`crate::run_window`]). Every
+/// field that can change the outcome is folded in.
 pub fn run_spec_digest(spec: &RunSpec, mode: &str) -> u64 {
     fnv1a(&format!(
         "run cfg={:016x} model={} flavor={} workload={} threads={} ops={} seed={} mode={mode}",

@@ -32,8 +32,7 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Fast settings for tests and the self-timed benches in
-    /// `crates/bench`.
+    /// Fast settings for tests, CI and the default `asap_sweep` run.
     pub fn quick() -> ExperimentScale {
         ExperimentScale {
             ops: 60,
@@ -284,8 +283,8 @@ const FIG8_MODELS: [(&str, ModelKind, Flavor); 6] = [
 ];
 
 /// The flat spec list behind Figure 8: every (workload, model) pair of
-/// the paper's headline sweep, in row-major order. Exposed so
-/// `sweep_bench` and the parallel/serial equivalence tests can drive the
+/// the paper's headline sweep, in row-major order. Exposed so the
+/// benchmark and the parallel/serial equivalence tests can drive the
 /// exact production sweep.
 pub fn fig08_specs(scale: ExperimentScale) -> Vec<RunSpec> {
     bar_chart_workloads()

@@ -64,8 +64,8 @@ pub mod traffic;
 
 pub use report::Table;
 pub use runner::{
-    prewarm_workloads, run_once, run_race_check, run_roi, run_window, workload_bank_stats,
-    RunManifest, RunOutcome, RunSpec,
+    prewarm_workloads, run_once, run_race_check, run_window, workload_bank_stats, RunManifest,
+    RunOutcome, RunSpec,
 };
 
 /// Print a wall-clock footer for a sweep binary on stderr (stdout stays

@@ -304,22 +304,6 @@ pub fn run_window(spec: &RunSpec, window: Cycle) -> RunOutcome {
     outcome(&mut sim, out.all_done, spec, started)
 }
 
-/// Run with a warmup region: simulate `warmup` cycles, reset the
-/// statistics (gem5's warmup → ROI transition), then run to completion.
-/// The reported cycle count covers the ROI only.
-pub fn run_roi(spec: &RunSpec, warmup: Cycle) -> RunOutcome {
-    let started = Instant::now();
-    let mut sim = build_sim(spec);
-    sim.run_for(warmup);
-    sim.reset_stats();
-    let start = sim.now();
-    let out = sim.run_to_completion();
-    let end = sim.now();
-    let mut o = outcome(&mut sim, out.all_done, spec, started);
-    o.cycles = end.raw().saturating_sub(start.raw());
-    o
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,16 +341,6 @@ mod tests {
         let s = spec(ModelKind::Asap, WorkloadKind::Cceh).windowed();
         assert_eq!(s.ops_per_thread, RunSpec::NEVER_FINISH);
         assert_eq!(RunSpec::NEVER_FINISH, u64::MAX / 2);
-    }
-
-    #[test]
-    fn run_roi_excludes_warmup() {
-        let s = spec(ModelKind::Asap, WorkloadKind::Queue);
-        let full = run_once(&s);
-        let roi = run_roi(&s, Cycle(5_000));
-        assert!(roi.cycles < full.cycles, "ROI must exclude the warmup");
-        assert!(roi.ops <= full.ops);
-        assert!(roi.all_done);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! (`--crash-at 12x` ran with *no crash at all*), and a string flag
 //! with no value was ignored (`--trace-out` wrote no trace). Now every
 //! malformed or missing value must exit non-zero with a diagnostic
-//! naming the flag — never a panic.
+//! naming the flag — never a panic. The same holds for a well-formed
+//! zero that the simulator cannot run with, in every binary that takes
+//! the flag.
 
 use std::process::{Command, Output};
 
@@ -115,4 +117,45 @@ fn unknown_workload_model_flavor_exit_two_listing_known_ones() {
         assert!(err.contains(known), "{err}");
         assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
     }
+}
+
+#[test]
+fn zero_valued_flags_exit_two_naming_the_flag() {
+    // Each of these used to panic (exit 101), or for persist_lint lint
+    // zero threads and exit 0.
+    let samples = std::env::temp_dir().join(format!("zero_every_{}.csv", std::process::id()));
+    let samples = samples.to_str().expect("utf8 temp path");
+    for (bin, argv, flag) in [
+        (
+            env!("CARGO_BIN_EXE_asap_sim"),
+            vec!["--threads", "0"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_asap_sim"),
+            vec!["--sample-every", "0", "--sample-out", samples],
+            "--sample-every",
+        ),
+        (
+            env!("CARGO_BIN_EXE_race_check"),
+            vec!["--workload", "queue", "--threads", "0"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_persist_lint"),
+            vec!["--workload", "queue", "--threads", "0"],
+            "--threads",
+        ),
+    ] {
+        let out = Command::new(bin).args(&argv).output().expect("spawn");
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{bin} {argv:?}: {err}");
+        assert!(err.contains(flag), "diagnostic must name {flag}: {err}");
+        assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
+        assert!(out.stdout.is_empty(), "{bin} {argv:?} ran");
+    }
+    assert!(
+        !std::path::Path::new(samples).exists(),
+        "a rejected --sample-every must not create the CSV"
+    );
 }

@@ -191,6 +191,18 @@ fn string_flag_missing_its_value_exits_two() {
 }
 
 #[test]
+fn zero_threads_exits_two_naming_the_flag() {
+    // Used to panic inside a pool worker ("at least one program
+    // required"), re-raised as "a scoped thread panicked".
+    let out = explore(&["--threads", "0", "--workloads", "queue", "--models", "asap"]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(err.contains("--threads"), "{err}");
+    assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
+    assert!(stdout_of(&out).is_empty(), "ran the explorer");
+}
+
+#[test]
 fn deleting_one_chunk_entry_resimulates_exactly_one_leg() {
     let dir = std::env::temp_dir().join(format!("crash_explore_chunks_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -7,10 +7,11 @@
 //! steady state (pool warm, persist buffers cycling) performs zero heap
 //! allocation per store.
 //!
-//! The counters double as the benchmark's allocation audit: after
-//! warm-up, [`fresh_allocs`](SnapshotPool::fresh_allocs) must stop
-//! growing even as [`recycled`](SnapshotPool::recycled) tracks the store
-//! count — see `sweep_bench`.
+//! The counters double as the allocation audit: after warm-up,
+//! [`fresh_allocs`](SnapshotPool::fresh_allocs) must stop growing even
+//! as [`recycled`](SnapshotPool::recycled) tracks the store count — see
+//! `snapshot_pool_allocates_nothing_in_steady_state` in
+//! `tests/model_invariants.rs`.
 //!
 //! # Example
 //!

@@ -65,7 +65,7 @@ pub use ids::{EpochId, LineAddr, McId, ThreadId, CACHE_LINE_BYTES, CACHE_LINE_SH
 pub use intern::{mix64, LineIdx, LineTable};
 pub use rng::DetRng;
 pub use sample::Sampler;
-pub use stats::{Histogram, RunningStat, StatSnapshot, Stats};
+pub use stats::{Histogram, StatSnapshot, Stats};
 pub use time::{Cycle, CYCLES_PER_NS};
 pub use trace::{
     env_trace_enabled, render_record, trace_value_enables, ChromeTracer, NullTracer, SharedBuf,

@@ -138,65 +138,6 @@ impl Histogram {
     }
 }
 
-/// Streaming mean/max tracker for unbounded quantities.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunningStat {
-    sum: f64,
-    n: u64,
-    // Seeded with -inf so all-negative observation streams still
-    // surface their true maximum (a 0.0 seed silently clamped them).
-    max: f64,
-}
-
-impl Default for RunningStat {
-    fn default() -> RunningStat {
-        RunningStat {
-            sum: 0.0,
-            n: 0,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl RunningStat {
-    /// Create an empty tracker.
-    pub fn new() -> RunningStat {
-        RunningStat::default()
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, v: f64) {
-        self.sum += v;
-        self.n += 1;
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
-    /// Mean of the observations (0.0 if none).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    /// Maximum observation (0.0 if none).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-}
-
 /// All counters for one simulation run.
 ///
 /// Field names are snake_case versions of the paper's camelCase stat
@@ -525,31 +466,6 @@ mod tests {
         // Empty round-trips, and zero counts are ignored.
         assert_eq!(Histogram::from_buckets(&[]), Histogram::new());
         assert_eq!(Histogram::from_buckets(&[(5, 0)]), Histogram::new());
-    }
-
-    #[test]
-    fn running_stat() {
-        let mut r = RunningStat::new();
-        assert_eq!(r.mean(), 0.0);
-        r.record(2.0);
-        r.record(4.0);
-        assert_eq!(r.mean(), 3.0);
-        assert_eq!(r.max(), 4.0);
-        assert_eq!(r.count(), 2);
-    }
-
-    #[test]
-    fn running_stat_max_of_all_negative_observations() {
-        // Regression: max was seeded with 0.0, so a stream of negative
-        // observations reported max = 0.0 instead of the largest one.
-        let mut r = RunningStat::new();
-        r.record(-5.0);
-        r.record(-2.5);
-        r.record(-9.0);
-        assert_eq!(r.max(), -2.5);
-        assert_eq!(r.count(), 3);
-        // Empty trackers still answer 0.0, matching mean()'s convention.
-        assert_eq!(RunningStat::new().max(), 0.0);
     }
 
     #[test]
