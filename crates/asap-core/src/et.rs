@@ -258,11 +258,6 @@ impl EpochTable {
         }
     }
 
-    /// Whether epoch `ts` has any cross dependency recorded.
-    pub fn has_dep(&self, ts: u64) -> bool {
-        self.entry(ts).is_some_and(|e| !e.deps.is_empty())
-    }
-
     /// A CDR message arrived: resolve every dependency on `src`.
     /// Returns whether anything was resolved.
     pub fn resolve_dep(&mut self, src: EpochId) -> bool {
@@ -339,17 +334,9 @@ impl EpochTable {
         self.is_committable(self.base_ts).then_some(self.base_ts)
     }
 
-    /// Begin the commit protocol for epoch `ts`: returns the MCs that must
-    /// receive commit messages (empty ⇒ the caller may finish the commit
-    /// immediately).
-    pub fn begin_commit(&mut self, ts: u64) -> Vec<McId> {
-        let mut mcs = Vec::new();
-        self.begin_commit_into(ts, &mut mcs);
-        mcs
-    }
-
-    /// Allocation-free [`begin_commit`](Self::begin_commit): the commit
-    /// MC set is written into `out` (cleared first). The engine
+    /// Begin the commit protocol for epoch `ts`: the MCs that must
+    /// receive commit messages are written into `out` (cleared first;
+    /// empty ⇒ the caller may finish the commit immediately). The engine
     /// round-trips one scratch vector through every commit.
     pub fn begin_commit_into(&mut self, ts: u64, out: &mut Vec<McId>) {
         let e = self.entry_mut(ts);
@@ -369,26 +356,14 @@ impl EpochTable {
         e.commit_acks_pending == 0
     }
 
-    /// Finalize the commit: remove the entry and return the dependent
-    /// threads owed CDR messages.
+    /// Finalize the commit: remove the entry, write the dependent threads
+    /// owed CDR messages into `out` (cleared first) and recycle the
+    /// committed entry onto the table's free-list.
     ///
     /// # Panics
     ///
     /// Panics if `ts` is not the oldest in-flight epoch (commits are in
     /// order) or writes are still pending.
-    pub fn finish_commit(&mut self, ts: u64) -> Vec<ThreadId> {
-        let mut deps = Vec::new();
-        self.finish_commit_into(ts, &mut deps);
-        deps
-    }
-
-    /// Allocation-free [`finish_commit`](Self::finish_commit): the
-    /// dependent threads are written into `out` (cleared first) and the
-    /// committed entry is recycled onto the table's free-list.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`finish_commit`](Self::finish_commit).
     pub fn finish_commit_into(&mut self, ts: u64, out: &mut Vec<ThreadId>) {
         assert!(!self.entries.is_empty(), "entry exists");
         assert_eq!(self.base_ts, ts, "commits must be in timestamp order");
@@ -419,6 +394,20 @@ mod tests {
         EpochTable::new(ThreadId(0), 4)
     }
 
+    /// `begin_commit_into` over a dirty scratch vector, which it must clear.
+    fn begin_commit(t: &mut EpochTable, ts: u64) -> Vec<McId> {
+        let mut mcs = vec![McId(9)];
+        t.begin_commit_into(ts, &mut mcs);
+        mcs
+    }
+
+    /// `finish_commit_into` over a dirty scratch vector, which it must clear.
+    fn finish_commit(t: &mut EpochTable, ts: u64) -> Vec<ThreadId> {
+        let mut deps = vec![ThreadId(9)];
+        t.finish_commit_into(ts, &mut deps);
+        deps
+    }
+
     #[test]
     fn lifecycle_open_write_ack_commit() {
         let mut t = et();
@@ -432,9 +421,9 @@ mod tests {
         t.ack_write(0);
         assert!(t.is_committable(0));
         assert_eq!(t.commit_candidate(), Some(0));
-        let mcs = t.begin_commit(0);
+        let mcs = begin_commit(&mut t, 0);
         assert!(mcs.is_empty());
-        let deps = t.finish_commit(0);
+        let deps = finish_commit(&mut t, 0);
         assert!(deps.is_empty());
         assert_eq!(t.status(0), EpochStatus::Committed);
         assert!(t.is_empty());
@@ -448,8 +437,8 @@ mod tests {
         assert!(t.is_safe(0));
         assert!(!t.is_safe(1));
         t.close(0);
-        t.begin_commit(0);
-        t.finish_commit(0);
+        begin_commit(&mut t, 0);
+        finish_commit(&mut t, 0);
         assert!(t.is_safe(1));
         assert!(t.is_safe(0)); // committed epochs stay safe
     }
@@ -478,12 +467,12 @@ mod tests {
         t.note_early_flush(0, McId(0)); // dedup
         t.add_dependent(0, ThreadId(2));
         t.add_dependent(0, ThreadId(2)); // dedup
-        let mcs = t.begin_commit(0);
+        let mcs = begin_commit(&mut t, 0);
         assert_eq!(mcs, vec![McId(0), McId(1)]);
         assert!(!t.is_committable(0)); // mid-commit
         assert!(!t.commit_ack(0));
         assert!(t.commit_ack(0));
-        let deps = t.finish_commit(0);
+        let deps = finish_commit(&mut t, 0);
         assert_eq!(deps, vec![ThreadId(2)]);
     }
 
@@ -496,8 +485,8 @@ mod tests {
         assert!(t.is_full());
         assert_eq!(t.max_occupancy(), 4);
         t.close(0);
-        t.begin_commit(0);
-        t.finish_commit(0);
+        begin_commit(&mut t, 0);
+        finish_commit(&mut t, 0);
         assert!(!t.is_full());
     }
 
@@ -526,7 +515,7 @@ mod tests {
         t.open(0);
         t.open(1);
         t.close(1);
-        t.finish_commit(1);
+        finish_commit(&mut t, 1);
     }
 
     #[test]
@@ -541,8 +530,8 @@ mod tests {
         let mut t = et();
         t.open(0);
         t.close(0);
-        t.begin_commit(0);
-        t.finish_commit(0);
+        begin_commit(&mut t, 0);
+        finish_commit(&mut t, 0);
         assert!(t.is_empty());
         t.open(1); // next consecutive ts after drain
         assert_eq!(t.status(1), EpochStatus::InFlight);

@@ -28,12 +28,10 @@
 use asap_sim_core::TraceRecord;
 
 /// Which state components feed the crash-equivalence digest. The mask is
-/// per persistency model ([`crash_key_mask`]): components a design's
-/// crash path never reads must not split equivalence classes (e.g. the
-/// persist-buffer contents are irrelevant to ASAP's recovered image but
-/// decisive for BBB's battery drain).
-///
-/// [`crash_key_mask`]: super::model::PersistencyModel::crash_key_mask
+/// per persistency model (`PersistencyModel::crash_key_mask`):
+/// components a design's crash path never reads must not split
+/// equivalence classes (e.g. the persist-buffer contents are irrelevant
+/// to ASAP's recovered image but decisive for BBB's battery drain).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyMask {
     /// Include the write journal's mutation counter.

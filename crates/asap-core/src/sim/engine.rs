@@ -451,12 +451,12 @@ impl Engine {
             let c = &mut self.cores[i];
             let occ = c.pb.len();
             let dt = now.saturating_sub(c.pb_occ_last).raw();
-            self.stats.pb_occupancy.record_weighted(occ, dt);
+            self.stats.pb_occupancy.record_n(occ as u64, dt);
             c.pb_occ_last = now;
             if let Some(s) = c.pb_blocked_since.take() {
                 self.stats.cycles_blocked += now.saturating_sub(s).raw();
             }
-            self.stats.et_occupancy.record(c.et.len());
+            self.stats.et_occupancy.record(c.et.len() as u64);
         }
         self.stats.ops_completed = self.cores.iter().map(|c| c.ops_completed).sum();
         let rt_max = self
@@ -465,7 +465,7 @@ impl Engine {
             .map(|m| m.rt().max_occupancy())
             .max()
             .unwrap_or(0);
-        self.stats.rt_occupancy.record(rt_max);
+        self.stats.rt_occupancy.record(rt_max as u64);
         let wpq_coalesced: u64 = self.mcs.iter().map(|m| m.wpq_coalesced()).sum();
         self.stats.wpq_coalesced = wpq_coalesced;
     }
@@ -593,7 +593,7 @@ impl Engine {
 
     pub(super) fn note_pb_occ_change(&mut self, t: usize, occ_before: usize) {
         let dt = self.now.saturating_sub(self.cores[t].pb_occ_last).raw();
-        self.stats.pb_occupancy.record_weighted(occ_before, dt);
+        self.stats.pb_occupancy.record_n(occ_before as u64, dt);
         self.cores[t].pb_occ_last = self.now;
     }
 

@@ -209,8 +209,8 @@ impl SimBuilder {
 
 /// The system simulator. See the module docs for the model semantics.
 ///
-/// `Sim` pairs the model-agnostic [`engine`] with the
-/// [`model::PersistencyModel`] chosen at build time (held as the
+/// `Sim` pairs the model-agnostic engine with the
+/// `PersistencyModel` chosen at build time (held as the
 /// closed-world `ModelDispatch` enum so hooks dispatch statically);
 /// every protocol decision flows through the trait's hooks, never
 /// through a `ModelKind` branch in the engine.
@@ -418,7 +418,7 @@ impl Sim {
 
     /// Non-destructive crash check: like [`Sim::crash_and_check`] but
     /// recovery runs on a *clone* of the NVM image (battery drains via
-    /// [`model preview hooks`](model::PersistencyModel::on_crash_preview),
+    /// the model's `PersistencyModel::on_crash_preview` hook,
     /// recovery-table undo via cloned tables), leaving the simulation
     /// able to keep running. The crash-space explorer calls this at
     /// every surviving crash point of a single re-run; parity with the

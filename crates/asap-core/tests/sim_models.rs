@@ -474,7 +474,7 @@ fn pb_occupancy_is_tracked() {
     let (_, sim) = run_model(ModelKind::Asap, Flavor::Release);
     assert!(sim.stats().pb_occupancy.count() > 0);
     // Occupancy can never exceed capacity.
-    assert!(sim.stats().pb_occupancy.max() <= SimConfig::paper().pb_entries);
+    assert!(sim.stats().pb_occupancy.max() <= SimConfig::paper().pb_entries as u64);
 }
 
 #[test]

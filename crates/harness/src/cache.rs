@@ -28,7 +28,9 @@ use crate::runner::{RunManifest, RunOutcome, RunSpec};
 use crate::traffic::{TrafficOutcome, TrafficSpec};
 use asap_analysis::explore::{ChunkResult, ExploreParams, ViolationHit};
 use asap_core::ViolationRule;
-use asap_sim_core::{fnv1a_fold, Histogram, LogHistogram, ModelKind, SimConfig, Stats, FNV_OFFSET};
+use asap_sim_core::{
+    fnv1a_fold, LogHistogram, ModelKind, SimConfig, StatMut, StatRef, Stats, FNV_OFFSET,
+};
 use asap_workloads::WorkloadKind;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -117,24 +119,7 @@ pub fn explore_chunk_digest(
 // Outcome codecs
 // -------------------------------------------------------------------
 
-/// Render a dense occupancy histogram as `v:c,v:c,…` (or `-` if empty).
-fn enc_hist(h: &Histogram) -> String {
-    let pairs = h.nonzero_buckets();
-    if pairs.is_empty() {
-        return "-".to_string();
-    }
-    pairs
-        .iter()
-        .map(|&(v, c)| format!("{v}:{c}"))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn dec_hist(s: &str) -> Option<Histogram> {
-    Some(Histogram::from_buckets(&dec_pairs(s)?))
-}
-
-/// Parse a `v:c,v:c,…` sparse bucket list (`-` = empty); zero counts
+/// Parse a `b:c,b:c,…` sparse bucket list (`-` = empty); zero counts
 /// are rejected — no record stream produces them.
 fn dec_pairs(s: &str) -> Option<Vec<(usize, u64)>> {
     if s == "-" {
@@ -142,30 +127,29 @@ fn dec_pairs(s: &str) -> Option<Vec<(usize, u64)>> {
     }
     s.split(',')
         .map(|p| {
-            let (v, c) = p.split_once(':')?;
+            let (b, c) = p.split_once(':')?;
             let c: u64 = c.parse().ok()?;
             if c == 0 {
                 return None;
             }
-            Some((v.parse().ok()?, c))
+            Some((b.parse().ok()?, c))
         })
         .collect()
 }
 
-/// Render a [`LogHistogram`] as `sum;min;max;buckets` — the exact
-/// aggregates plus the sparse counts, everything `from_parts` needs.
-fn enc_log(h: &LogHistogram) -> String {
-    let pairs = h.nonzero_buckets();
-    let buckets = if pairs.is_empty() {
-        "-".to_string()
-    } else {
-        pairs
-            .iter()
-            .map(|&(b, c)| format!("{b}:{c}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    format!("{};{};{};{}", h.sum(), h.min_raw(), h.max(), buckets)
+/// Append a [`LogHistogram`] as `sum;min;max;buckets` — the exact
+/// aggregates plus the sparse `b:c,…` counts (`-` if empty), everything
+/// `from_parts` needs.
+fn enc_log(out: &mut String, h: &LogHistogram) {
+    let _ = write!(out, "{};{};{};", h.sum(), h.min_raw(), h.max());
+    let mut sep = "";
+    for (b, c) in h.nonzero_buckets() {
+        let _ = write!(out, "{sep}{b}:{c}");
+        sep = ",";
+    }
+    if sep.is_empty() {
+        out.push('-');
+    }
 }
 
 fn dec_log(s: &str) -> Option<LogHistogram> {
@@ -177,27 +161,10 @@ fn dec_log(s: &str) -> Option<LogHistogram> {
     LogHistogram::from_parts(&buckets, sum, min_raw, max)
 }
 
-/// The 26 scalar counters of [`Stats`], applied to a macro so the
-/// encoder and decoder can never drift apart (adding a field to one
-/// side without the other is a compile error here, not a silent skew).
-macro_rules! stats_scalar_fields {
-    ($mac:ident!($($extra:tt)*)) => {
-        $mac!(
-            $($extra)*
-            cycles_blocked, cycles_stalled, dfence_stalled, entries_inserted,
-            inter_t_epoch_conflict, tot_spec_writes, total_undo, ofence_stalled,
-            nvm_writes, nvm_reads, xpbuffer_hits, total_delay, nacks,
-            commit_msgs, cdr_msgs, pb_coalesced, wpq_coalesced,
-            mc_suppressed_writes, epochs_created, epochs_committed,
-            total_cycles, ops_completed, loads, stores, global_ts_reads,
-            flush_hints
-        );
-    };
-}
-
 /// Render a completed run as one `key=value` line (space-separated; no
 /// value contains a space). Exact: the one float travels by bit
-/// pattern, histograms as sparse bucket lists.
+/// pattern, histograms as sparse bucket lists. Every [`Stats`] field
+/// travels under its field name.
 pub fn encode_outcome(o: &RunOutcome) -> String {
     let mut out = format!(
         "kind=run cycles={} ops={} rtmax={} mwrites={} mutil={:016x} alldone={} \
@@ -217,19 +184,15 @@ pub fn encode_outcome(o: &RunOutcome) -> String {
         o.manifest.config_digest,
         o.manifest.wall.as_nanos().min(u64::MAX as u128),
     );
-    macro_rules! push {
-        ($o:expr, $($f:ident),+ $(,)?) => {
-            $(out.push_str(&format!(" {}={}", stringify!($f), $o.stats.$f));)+
-        };
+    for (field, value) in o.stats.fields() {
+        let _ = write!(out, " {field}=");
+        match value {
+            StatRef::Counter(v) => {
+                let _ = write!(out, "{v}");
+            }
+            StatRef::Histogram(h) => enc_log(&mut out, h),
+        }
     }
-    stats_scalar_fields!(push!(o,));
-    out.push_str(&format!(
-        " pb_occ={} rt_occ={} et_occ={} wpq_occ={}",
-        enc_hist(&o.stats.pb_occupancy),
-        enc_hist(&o.stats.rt_occupancy),
-        enc_hist(&o.stats.et_occupancy),
-        enc_hist(&o.stats.wpq_occupancy),
-    ));
     out
 }
 
@@ -255,16 +218,13 @@ pub fn decode_outcome(line: &str) -> Option<RunOutcome> {
         return None;
     }
     let mut stats = Stats::new();
-    macro_rules! read {
-        ($m:expr, $($f:ident),+ $(,)?) => {
-            $(stats.$f = $m.remove(stringify!($f))?.parse().ok()?;)+
-        };
+    for &field in Stats::FIELDS {
+        let text = m.remove(field)?;
+        match stats.field_mut(field)? {
+            StatMut::Counter(v) => *v = text.parse().ok()?,
+            StatMut::Histogram(h) => *h = dec_log(text)?,
+        }
     }
-    stats_scalar_fields!(read!(m,));
-    stats.pb_occupancy = dec_hist(m.remove("pb_occ")?)?;
-    stats.rt_occupancy = dec_hist(m.remove("rt_occ")?)?;
-    stats.et_occupancy = dec_hist(m.remove("et_occ")?)?;
-    stats.wpq_occupancy = dec_hist(m.remove("wpq_occ")?)?;
     let manifest = RunManifest {
         model: m.remove("model")?.parse().ok()?,
         flavor: m.remove("flavor")?.parse().ok()?,
@@ -294,15 +254,19 @@ pub fn decode_outcome(line: &str) -> Option<RunOutcome> {
 
 /// Render a completed traffic leg as one `key=value` line.
 pub fn encode_traffic(o: &TrafficOutcome) -> String {
-    format!(
-        "kind=traffic cycles={} requests={} cfg={:016x} lt={} lq={} ls={}",
-        o.cycles,
-        o.requests,
-        o.config_digest,
-        enc_log(&o.lat.total),
-        enc_log(&o.lat.queueing),
-        enc_log(&o.lat.service),
-    )
+    let mut out = format!(
+        "kind=traffic cycles={} requests={} cfg={:016x}",
+        o.cycles, o.requests, o.config_digest,
+    );
+    for (key, h) in [
+        ("lt", &o.lat.total),
+        ("lq", &o.lat.queueing),
+        ("ls", &o.lat.service),
+    ] {
+        let _ = write!(out, " {key}=");
+        enc_log(&mut out, h);
+    }
+    out
 }
 
 /// Parse a line produced by [`encode_traffic`]; same strictness
@@ -422,7 +386,7 @@ pub fn decode_chunk(line: &str) -> Option<ChunkResult> {
 // -------------------------------------------------------------------
 
 /// First line of every cache entry file.
-const ENTRY_HEADER: &str = "# asap-outcome v1";
+const ENTRY_HEADER: &str = "# asap-outcome v2";
 
 /// Stores started by this process: with the pid, a temp-file name no
 /// other [`OutcomeCache::store`] call shares.
@@ -564,16 +528,34 @@ mod tests {
     #[test]
     fn outcome_codec_round_trips_exactly() {
         let out = run_once(&tiny_spec());
-        let line = encode_outcome(&out);
-        assert!(!line.contains('\n'));
-        let back = decode_outcome(&line).expect("own encoding must decode");
-        assert_eq!(back, out, "decoded outcome must compare equal");
-        // The float survives by bit pattern, beyond PartialEq's ULP.
-        assert_eq!(
-            back.media_utilization.to_bits(),
-            out.media_utilization.to_bits()
-        );
-        assert_eq!(back.manifest.wall, out.manifest.wall);
+        // Distinct values in every `Stats` field, so two fields swapping
+        // keys in the codec cannot round-trip (the real run leaves
+        // seven counters at 0).
+        let mut distinct = out.clone();
+        for (n, &field) in (1u64..).zip(Stats::FIELDS) {
+            match distinct.stats.field_mut(field).expect("declared field") {
+                StatMut::Counter(v) => *v = n,
+                StatMut::Histogram(h) => {
+                    *h = LogHistogram::new();
+                    h.record_n(n * 1000, n);
+                }
+            }
+        }
+        for out in [out, distinct] {
+            let line = encode_outcome(&out);
+            assert!(!line.contains('\n'));
+            let back = decode_outcome(&line).expect("own encoding must decode");
+            for ((field, got), (_, want)) in back.stats.fields().zip(out.stats.fields()) {
+                assert_eq!(got, want, "{field}");
+            }
+            assert_eq!(back, out, "decoded outcome must compare equal");
+            // The float survives by bit pattern, beyond PartialEq's ULP.
+            assert_eq!(
+                back.media_utilization.to_bits(),
+                out.media_utilization.to_bits()
+            );
+            assert_eq!(back.manifest.wall, out.manifest.wall);
+        }
     }
 
     #[test]
@@ -586,6 +568,29 @@ mod tests {
         assert!(decode_outcome(&line.replace("kind=run", "kind=x")).is_none());
         assert!(decode_outcome(&line[..line.len() / 2]).is_none());
         assert!(decode_outcome(&line.replace("alldone=1", "alldone=2")).is_none());
+
+        // Checksummed entries guard nothing against these: each must be
+        // a miss, never a panic or an abort on a huge allocation.
+        let with_pb = |value: &str| {
+            line.split(' ')
+                .map(|t| {
+                    if t.starts_with("pb_occupancy=") {
+                        format!("pb_occupancy={value}")
+                    } else {
+                        t.to_string()
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        assert!(decode_outcome(&with_pb("3;3;3;3:1")).is_some());
+        for bad in [
+            "3;3;3;18446744073709551615:1",
+            "3;3;3;1099511627776:1",
+            "6;3;3;3:1,3:1",
+        ] {
+            assert!(decode_outcome(&with_pb(bad)).is_none(), "accepted {bad}");
+        }
     }
 
     /// The verify-chunk results of one quick queue/ASAP config, with
@@ -748,8 +753,18 @@ mod tests {
         std::fs::write(&path, "not a cache entry at all").unwrap();
         assert_eq!(cache.load(key), None);
 
+        // A previous format's entry, checksum and all → miss.
+        let payload = "kind=test payload=1";
+        let v1 = format!(
+            "# asap-outcome v1\n{payload}\n# end {:016x}\n",
+            fnv1a(payload)
+        );
+        assert_eq!(full, v1.replace("v1", "v2"), "only the header differs");
+        std::fs::write(&path, v1).unwrap();
+        assert_eq!(cache.load(key), None, "a v1 entry must miss");
+
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.stores), (1, 4, 1));
+        assert_eq!((s.hits, s.misses, s.stores), (1, 5, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

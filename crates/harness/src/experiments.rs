@@ -60,7 +60,7 @@ pub struct Figure {
     /// The flat leg list of the figure's sweep at a scale.
     pub specs: fn(ExperimentScale) -> Vec<RunSpec>,
     /// Legs run for `scale.window` cycles ([`crate::run_window`])
-    /// instead of to completion ([`run_once`]).
+    /// instead of to completion ([`crate::run_once`]).
     pub windowed: bool,
     /// The figure's tables, from one outcome per leg in
     /// [`Figure::specs`] order.

@@ -4,9 +4,10 @@
 use asap_core::{Flavor, ModelKind, SimBuilder, ThreadProgram};
 use asap_sim_core::{Cycle, SimConfig, Stats};
 use asap_workloads::{make_workload, make_workload_shared, WorkloadKind, WorkloadParams};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
 /// Everything needed to reproduce one simulation.
@@ -152,8 +153,47 @@ fn params_for(spec: &RunSpec) -> WorkloadParams {
     }
 }
 
-/// A pristine (never-run) program set shared across sweep points.
-type SharedPrograms = Arc<Vec<Box<dyn ThreadProgram + Send + Sync>>>;
+/// A process-wide get-or-generate store: each distinct key's value is
+/// generated once, under the lock (so concurrent first requests wait
+/// instead of generating twice), and every caller shares one `Arc`.
+pub(crate) struct Bank<K, V> {
+    map: Mutex<HashMap<K, Arc<V>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<K: Eq + Hash, V> Bank<K, V> {
+    pub(crate) fn new() -> Bank<K, V> {
+        Bank {
+            map: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// The value under `key`, generated by `make` on the first request.
+    pub(crate) fn get(&self, key: K, make: impl FnOnce() -> V) -> Arc<V> {
+        let mut map = self.map.lock().expect("bank poisoned");
+        match map.entry(key) {
+            Entry::Occupied(e) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(e.get())
+            }
+            Entry::Vacant(e) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(e.insert(Arc::new(make())))
+            }
+        }
+    }
+
+    /// `(hits, misses)`: `misses` counts generator runs.
+    fn stats(&self) -> (u64, u64) {
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
+    }
+}
 
 /// Everything that feeds workload generation: the hardware config only
 /// matters through the core count ([`params_for`] defaults the rest of
@@ -161,59 +201,29 @@ type SharedPrograms = Arc<Vec<Box<dyn ThreadProgram + Send + Sync>>>;
 /// share one pristine program set.
 type BankKey = (WorkloadKind, usize, u64, u64);
 
-fn bank_key(spec: &RunSpec) -> BankKey {
-    (
-        spec.workload,
-        spec.config.num_cores,
-        spec.ops_per_thread,
-        spec.seed,
-    )
-}
-
-/// Process-wide bank of pristine program sets: workload generation runs
-/// once per distinct `(workload, threads, ops, seed)` and every sweep
-/// point clones its programs from the shared set instead of re-running
-/// the generators. A derived clone of a never-run program is
-/// bit-identical to a freshly generated one, so outcomes (and the
-/// figure tables built from them) are unchanged — only the redundant
-/// generation work disappears.
-struct WorkloadBank {
-    sets: Mutex<HashMap<BankKey, SharedPrograms>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-fn bank() -> &'static WorkloadBank {
-    static BANK: OnceLock<WorkloadBank> = OnceLock::new();
-    BANK.get_or_init(|| WorkloadBank {
-        sets: Mutex::new(HashMap::new()),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    })
-}
+/// Process-wide bank of pristine (never-run) program sets: workload
+/// generation runs once per distinct `(workload, threads, ops, seed)`
+/// and every sweep point clones its programs from the shared set
+/// instead of re-running the generators. A derived clone of a never-run
+/// program is bit-identical to a freshly generated one, so outcomes (and
+/// the figure tables built from them) are unchanged — only the
+/// redundant generation work disappears.
+static WORKLOADS: LazyLock<Bank<BankKey, Vec<Box<dyn ThreadProgram + Send + Sync>>>> =
+    LazyLock::new(Bank::new);
 
 /// Fetch (or generate) the pristine set for `spec`, then stamp out this
 /// run's own copy. The suite workloads all support `boxed_clone`; if an
 /// unknown program ever does not, fall back to plain generation.
 fn programs_for(spec: &RunSpec) -> Vec<Box<dyn ThreadProgram>> {
-    let b = bank();
-    let key = bank_key(spec);
-    let set: SharedPrograms = {
-        let mut sets = b.sets.lock().expect("workload bank poisoned");
-        match sets.get(&key) {
-            Some(s) => {
-                b.hits.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(s)
-            }
-            None => {
-                b.misses.fetch_add(1, Ordering::Relaxed);
-                let fresh: SharedPrograms =
-                    Arc::new(make_workload_shared(spec.workload, &params_for(spec)));
-                sets.insert(key, Arc::clone(&fresh));
-                fresh
-            }
-        }
-    };
+    let key = (
+        spec.workload,
+        spec.config.num_cores,
+        spec.ops_per_thread,
+        spec.seed,
+    );
+    let set = WORKLOADS.get(key, || {
+        make_workload_shared(spec.workload, &params_for(spec))
+    });
     let cloned: Option<Vec<Box<dyn ThreadProgram>>> = set.iter().map(|p| p.boxed_clone()).collect();
     cloned.unwrap_or_else(|| make_workload(spec.workload, &params_for(spec)))
 }
@@ -232,11 +242,7 @@ pub fn prewarm_workloads(specs: &[RunSpec]) {
 /// generator runs, `hits` counts sweep points served by cloning a
 /// shared pristine set.
 pub fn workload_bank_stats() -> (u64, u64) {
-    let b = bank();
-    (
-        b.hits.load(Ordering::Relaxed),
-        b.misses.load(Ordering::Relaxed),
-    )
+    WORKLOADS.stats()
 }
 
 fn build_sim(spec: &RunSpec) -> asap_core::Sim {

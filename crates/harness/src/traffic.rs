@@ -4,14 +4,15 @@
 //! Each leg replays a deterministic request bank (see
 //! [`asap_workloads::traffic`]) through one WHISPER app on one
 //! persistency model and reports the queueing/service latency split from
-//! constant-memory [`LatencySplit`] reducers. Banks are generated once
+//! bounded-memory [`LatencySplit`] reducers. Banks are generated once
 //! per distinct [`TrafficConfig`] and shared `Arc`'d across every leg
-//! that replays them (the PR 5 workload-bank idiom); results are
-//! collected in input order, so the emitted table is identical at any
-//! `--workers` count and for either event-queue kind.
+//! that replays them (the workload bank's get-or-generate store);
+//! results are collected in input order, so the emitted table is
+//! identical at any `--workers` count.
 
 use crate::args::SweepArgs;
 use crate::report::Table;
+use crate::runner::Bank;
 use asap_core::{SimBuilder, ThreadProgram};
 use asap_sim_core::{Flavor, LatencySplit, ModelKind, SimConfig};
 use asap_workloads::traffic::{
@@ -19,10 +20,9 @@ use asap_workloads::traffic::{
     Request, RequestService, TrafficConfig,
 };
 use asap_workloads::WorkloadParams;
-use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 /// The WHISPER apps that can serve an open-loop request stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,16 +168,11 @@ fn bank_key(cfg: &TrafficConfig) -> BankKey {
 
 /// Process-wide bank of generated request streams: generation runs once
 /// per distinct [`TrafficConfig`] and every leg replaying that config
-/// shares the same immutable `Arc`'d bank (the workload-bank idiom of
-/// the closed-loop sweeps).
+/// shares the same immutable `Arc`'d bank (the same `Bank` as the
+/// closed-loop sweeps' pristine program sets).
 pub fn request_bank(cfg: &TrafficConfig) -> Arc<Vec<Request>> {
-    static BANKS: OnceLock<Mutex<HashMap<BankKey, Arc<Vec<Request>>>>> = OnceLock::new();
-    let banks = BANKS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = banks.lock().expect("traffic bank poisoned");
-    Arc::clone(
-        map.entry(bank_key(cfg))
-            .or_insert_with(|| Arc::new(generate(cfg))),
-    )
+    static BANKS: LazyLock<Bank<BankKey, Vec<Request>>> = LazyLock::new(Bank::new);
+    BANKS.get(bank_key(cfg), || generate(cfg))
 }
 
 /// Run one leg over an explicit bank (the `--replay` path; the bank need

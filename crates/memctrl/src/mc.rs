@@ -196,7 +196,7 @@ impl MemController {
             stats.nvm_writes += 1;
             stats.tot_spec_writes += 1;
             stats.total_undo += 1;
-            stats.rt_occupancy.record(self.rt.occupancy());
+            stats.rt_occupancy.record(self.rt.occupancy() as u64);
             self.xp.touch(idx);
             FlushOutcome::Accepted {
                 accept_at: now,
@@ -247,7 +247,7 @@ impl MemController {
             FlushAction::Delayed => {
                 stats.total_delay += 1;
                 stats.tot_spec_writes += 1;
-                stats.rt_occupancy.record(self.rt.occupancy());
+                stats.rt_occupancy.record(self.rt.occupancy() as u64);
                 FlushOutcome::Accepted {
                     accept_at: now,
                     action,
@@ -282,7 +282,7 @@ impl MemController {
             done = self.wpq.occupy_media(done, self.wpq.write_occupancy());
             stats.nvm_writes += 1;
         }
-        stats.rt_occupancy.record(self.rt.occupancy());
+        stats.rt_occupancy.record(self.rt.occupancy() as u64);
         // The ack departs once the RT bookkeeping is done; delay-record
         // media writes are in the ADR domain so the ack does not wait for
         // them.

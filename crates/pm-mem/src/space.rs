@@ -136,12 +136,6 @@ impl PmSpace {
         self.lookup(pno).map_or(0, |i| self.pages[i][off])
     }
 
-    /// Write one byte.
-    pub fn write_u8(&mut self, addr: u64, v: u8) {
-        let (pno, off) = Self::page_of(addr);
-        self.page_mut(pno)[off] = v;
-    }
-
     /// Read `buf.len()` bytes starting at `addr`.
     ///
     /// Works a page at a time: the hot path (line snapshots, word loads)
@@ -204,25 +198,6 @@ impl PmSpace {
         self.read_bytes(line.byte_addr(), &mut buf);
         buf
     }
-
-    /// Overwrite the 64-byte cache line at `line`.
-    pub fn write_line(&mut self, line: LineAddr, data: &LineSnapshot) {
-        self.write_bytes(line.byte_addr(), data);
-    }
-
-    /// Number of backed 4 kB pages (diagnostics).
-    pub fn backed_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Iterate over backed pages as `(page_base_addr, bytes)` in
-    /// first-touch order (deterministic by construction).
-    pub fn iter_pages(&self) -> impl Iterator<Item = (u64, &[u8; PAGE_BYTES])> {
-        self.pnos
-            .iter()
-            .zip(&self.pages)
-            .map(|(&pno, p)| (pno << PAGE_SHIFT, &**p))
-    }
 }
 
 #[cfg(test)]
@@ -234,7 +209,7 @@ mod tests {
         let pm = PmSpace::new();
         assert_eq!(pm.read_u8(0), 0);
         assert_eq!(pm.read_u64(0xdead_0000), 0);
-        assert_eq!(pm.backed_pages(), 0);
+        assert_eq!(pm.pages.len(), 0, "reads must not back pages");
     }
 
     #[test]
@@ -257,7 +232,7 @@ mod tests {
         let addr = (1 << PAGE_SHIFT) - 4; // straddles a page boundary
         pm.write_u64(addr as u64, 0x1122_3344_5566_7788);
         assert_eq!(pm.read_u64(addr as u64), 0x1122_3344_5566_7788);
-        assert_eq!(pm.backed_pages(), 2);
+        assert_eq!(pm.pages.len(), 2);
     }
 
     #[test]
@@ -281,7 +256,7 @@ mod tests {
         assert_eq!(u64::from_le_bytes(snap[56..64].try_into().unwrap()), 9);
 
         let mut pm2 = PmSpace::new();
-        pm2.write_line(line, &snap);
+        pm2.write_bytes(line.byte_addr(), &snap);
         assert_eq!(pm2.read_u64(0x1040), 7);
         assert_eq!(pm2.read_u64(0x1078), 9);
     }

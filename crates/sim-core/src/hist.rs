@@ -1,12 +1,14 @@
-//! Constant-memory streaming histograms for cycle-scale latencies.
+//! Log-bucketed streaming histograms: the one histogram type of the
+//! workspace, for buffer occupancies and cycle-scale latencies alike.
 //!
-//! The dense [`crate::Histogram`] allocates one bucket per distinct
-//! value — fine for buffer occupancies (≤ 64), fatal for request
-//! latencies measured in cycles (a p99.9 of 2 M cycles would allocate a
-//! 16 MB counts vector *per series*). [`LogHistogram`] is the
-//! HDR-histogram-style fix: exact unit buckets below 64, then 64
-//! sub-buckets per power-of-two octave, for a fixed ~30 KB footprint
-//! covering the full `u64` range with bounded relative error.
+//! [`LogHistogram`] is HDR-histogram style: unit buckets below 64, then
+//! 64 sub-buckets per power-of-two octave, covering the full `u64` range
+//! with bounded relative error. The first octave's sub-buckets are one
+//! value wide, so every value below 128 is counted exactly. The bucket
+//! vector grows only to the highest bucket hit, capped at 3,776 counters
+//! (~30 KB): a buffer occupancy (≤ 64) costs at most 65 counters, and a
+//! 2 M-cycle latency tail about 1,000, where one bucket per value would
+//! take a 16 MB counts vector *per series*.
 //!
 //! [`LatencySplit`] bundles three of them to carry the per-request
 //! queueing-delay vs service-time decomposition used by the open-loop
@@ -19,24 +21,27 @@ const SUB: usize = 1 << SUB_BITS;
 /// Octaves above the linear range: values with a top bit in
 /// `SUB_BITS..=63`.
 const OCTAVES: usize = 64 - SUB_BITS as usize;
-/// Total bucket count (fixed at construction; never grows).
+/// Bucket count covering the whole `u64` range: the cap on a
+/// histogram's bucket vector.
 const NUM_BUCKETS: usize = SUB + OCTAVES * SUB;
 
-/// A log-bucketed streaming histogram over `u64` samples with constant
+/// A log-bucketed streaming histogram over `u64` samples with bounded
 /// memory and bounded relative error.
 ///
-/// Values below 64 are counted exactly (unit buckets). Above that, each
-/// power-of-two octave is split into 64 sub-buckets, so a bucket
-/// spanning `[lo, lo + w)` always has `w ≤ lo / 64`. Percentiles report
-/// the bucket midpoint, making the worst-case relative error
-/// `1 / 128` (< 0.8%) — see [`LogHistogram::REL_ERROR`]. Memory is
-/// `NUM_BUCKETS` (= 3776) counters regardless of sample magnitude or
-/// stream length.
+/// Values below 128 are counted exactly (one-value buckets). Above
+/// that, each power-of-two octave is split into 64 sub-buckets, so a
+/// bucket spanning `[lo, lo + w)` always has `w ≤ lo / 64`. Percentiles
+/// report the bucket midpoint, making the worst-case relative error
+/// `1 / 128` (< 0.8%) — see [`LogHistogram::REL_ERROR`]. Memory is one
+/// counter per bucket up to the highest bucket hit, never more than
+/// `NUM_BUCKETS` (= 3776) whatever the stream length.
 ///
 /// Min, max, count and sum are tracked exactly; only percentiles are
 /// approximate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
+    /// Per-bucket counts up to the highest bucket hit: empty, or ending
+    /// in a non-zero count, so derived equality compares content.
     counts: Vec<u64>,
     total: u64,
     sum: u128,
@@ -55,10 +60,10 @@ impl LogHistogram {
     /// versus the exact sample percentile: half of one sub-bucket width.
     pub const REL_ERROR: f64 = 1.0 / (2 * SUB) as f64;
 
-    /// Create an empty histogram (allocates its full fixed footprint).
+    /// Create an empty histogram (allocates nothing).
     pub fn new() -> LogHistogram {
         LogHistogram {
-            counts: vec![0; NUM_BUCKETS],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -111,7 +116,11 @@ impl LogHistogram {
         if n == 0 {
             return;
         }
-        self.counts[Self::bucket_of(value)] += n;
+        let b = Self::bucket_of(value);
+        if b >= self.counts.len() {
+            self.counts.resize(b + 1, 0);
+        }
+        self.counts[b] += n;
         self.total += n;
         self.sum += value as u128 * n as u128;
         self.min = self.min.min(value);
@@ -153,11 +162,11 @@ impl LogHistogram {
 
     /// The `p`-th percentile (0.0..=100.0), or 0 if empty.
     ///
-    /// Uses the same rank convention as the dense
-    /// [`crate::Histogram`]: `rank = ceil(p/100 · count)`, clamped to at
-    /// least 1. The returned value is the midpoint of the bucket holding
-    /// the ranked sample, within [`LogHistogram::REL_ERROR`] of the
-    /// exact sample (and exact for samples below 64).
+    /// The rank is `ceil(p/100 · count)`, clamped to at least 1, so p0
+    /// is the smallest recorded value. The returned value is the
+    /// midpoint of the bucket holding the ranked sample, within
+    /// [`LogHistogram::REL_ERROR`] of the exact sample (and exact for
+    /// samples below 128).
     ///
     /// # Panics
     ///
@@ -181,8 +190,11 @@ impl LogHistogram {
 
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &LogHistogram) {
-        for (b, &c) in other.counts.iter().enumerate() {
-            self.counts[b] += c;
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (mine, &c) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += c;
         }
         self.total += other.total;
         self.sum += other.sum;
@@ -193,13 +205,12 @@ impl LogHistogram {
     /// The non-empty `(bucket_index, count)` pairs in ascending index
     /// order — a sparse view for exact serialization (the outcome cache
     /// round-trips histograms through [`LogHistogram::from_parts`]).
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
+    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c > 0)
             .map(|(b, &c)| (b, c))
-            .collect()
     }
 
     /// Exact sum of all recorded samples (the numerator of
@@ -218,9 +229,12 @@ impl LogHistogram {
     /// Rebuild a histogram from its sparse serialized form: the
     /// [`LogHistogram::nonzero_buckets`] pairs plus the exact aggregates
     /// (`sum`, the raw minimum, the maximum). Returns `None` when the
-    /// parts are not a histogram any record stream could have produced
-    /// (bucket index out of range, zero or overflowing count, aggregates
-    /// inconsistent with emptiness) — the cache treats that as a miss.
+    /// parts are not a histogram any record stream could have produced —
+    /// a bucket index out of range or not strictly ascending, a zero or
+    /// overflowing count, aggregates inconsistent with emptiness, or a
+    /// minimum or maximum outside the first or last occupied bucket. The
+    /// cache treats that as a miss; the vector it allocates is bounded by
+    /// `NUM_BUCKETS` whatever the input.
     pub fn from_parts(
         buckets: &[(usize, u64)],
         sum: u128,
@@ -229,16 +243,20 @@ impl LogHistogram {
     ) -> Option<LogHistogram> {
         let mut h = LogHistogram::new();
         for &(b, c) in buckets {
-            if b >= NUM_BUCKETS || c == 0 {
+            if b >= NUM_BUCKETS || b < h.counts.len() || c == 0 {
                 return None;
             }
-            h.counts[b] = h.counts[b].checked_add(c)?;
+            h.counts.resize(b + 1, 0);
+            h.counts[b] = c;
             h.total = h.total.checked_add(c)?;
         }
-        if h.total == 0 && (sum != 0 || min_raw != u64::MAX || max != 0) {
-            return None;
-        }
-        if h.total > 0 && min_raw > max {
+        let consistent = match (buckets.first(), buckets.last()) {
+            (Some(&(first, _)), Some(&(last, _))) => {
+                min_raw <= max && Self::bucket_of(min_raw) == first && Self::bucket_of(max) == last
+            }
+            _ => sum == 0 && min_raw == u64::MAX && max == 0,
+        };
+        if !consistent {
             return None;
         }
         h.sum = sum;
@@ -296,17 +314,32 @@ mod tests {
     #[test]
     fn small_values_are_exact() {
         let mut h = LogHistogram::new();
-        for v in 0..64u64 {
+        assert!(h.counts.is_empty(), "an empty histogram allocates nothing");
+        for v in 0..128u64 {
             h.record(v);
+            // Below 128 the bucket vector grows only to the largest value.
+            assert_eq!(h.counts.len() as u64, v + 1);
         }
-        assert_eq!(h.count(), 64);
+        assert_eq!(h.count(), 128);
         assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 63);
-        // Every percentile of a 0..64 uniform set is the exact value.
-        for v in 0..64u64 {
-            let p = (v + 1) as f64 / 64.0 * 100.0;
+        assert_eq!(h.max(), 127);
+        // Every percentile of a 0..128 uniform set is the exact value.
+        for v in 0..128u64 {
+            let p = (v + 1) as f64 / 128.0 * 100.0;
             assert_eq!(h.percentile(p), v, "p{p}");
         }
+
+        // Weighted boundary ranks: p90 of 90×0 + 10×10 lands exactly on
+        // the last 0-sample; the first rank past it moves to the next
+        // occupied bucket.
+        let mut w = LogHistogram::new();
+        w.record_n(0, 90);
+        w.record_n(10, 10);
+        assert_eq!(w.percentile(90.0), 0);
+        assert_eq!(w.percentile(90.5), 10);
+        assert_eq!(w.percentile(100.0), 10);
+        assert!((w.mean() - 1.0).abs() < 1e-12);
+        assert_eq!(w.counts.len(), 11);
     }
 
     #[test]
@@ -420,6 +453,13 @@ mod tests {
         // p0/p100-style queries never leave the observed range.
         assert!(h.percentile(0.0) >= h.min());
         assert!(h.percentile(100.0) <= h.max());
+
+        // p0 clamps to rank 1: the smallest recorded value, not bucket 0.
+        let mut small = LogHistogram::new();
+        for v in [3, 5, 9] {
+            small.record(v);
+        }
+        assert_eq!(small.percentile(0.0), 3);
     }
 
     #[test]
@@ -429,15 +469,15 @@ mod tests {
             h.record(v);
         }
         h.record_n(99, 4);
-        let rebuilt =
-            LogHistogram::from_parts(&h.nonzero_buckets(), h.sum(), h.min_raw(), h.max()).unwrap();
-        assert_eq!(rebuilt, h, "sparse parts must reconstruct exactly");
+        let parts = |h: &LogHistogram| {
+            let buckets: Vec<_> = h.nonzero_buckets().collect();
+            LogHistogram::from_parts(&buckets, h.sum(), h.min_raw(), h.max())
+        };
+        assert_eq!(parts(&h), Some(h), "sparse parts must reconstruct exactly");
 
         // The empty histogram round-trips too.
         let e = LogHistogram::new();
-        let rebuilt =
-            LogHistogram::from_parts(&e.nonzero_buckets(), e.sum(), e.min_raw(), e.max()).unwrap();
-        assert_eq!(rebuilt, e);
+        assert_eq!(parts(&e), Some(e));
     }
 
     #[test]
@@ -453,6 +493,19 @@ mod tests {
         assert!(LogHistogram::from_parts(&[(3, 1)], 3, 9, 3).is_none());
         // Total overflow.
         assert!(LogHistogram::from_parts(&[(1, u64::MAX), (2, 1)], 0, 1, 2).is_none());
+        // Huge indices are rejected before anything is allocated.
+        assert!(LogHistogram::from_parts(&[(usize::MAX, 1)], 0, 0, 0).is_none());
+        assert!(LogHistogram::from_parts(&[(1 << 40, 1)], 0, 0, 0).is_none());
+        // Bucket indices not strictly ascending: repeated, or descending.
+        assert!(LogHistogram::from_parts(&[(3, 1), (3, 1)], 6, 3, 3).is_none());
+        assert!(LogHistogram::from_parts(&[(5, 1), (3, 1)], 8, 3, 5).is_none());
+        // The minimum or maximum outside the first or last occupied bucket.
+        assert!(LogHistogram::from_parts(&[(3, 1), (5, 1)], 8, 2, 5).is_none());
+        assert!(LogHistogram::from_parts(&[(3, 1), (5, 1)], 8, 4, 5).is_none());
+        assert!(LogHistogram::from_parts(&[(3, 1), (5, 1)], 8, 3, 6).is_none());
+        assert!(LogHistogram::from_parts(&[(3, 1), (5, 1)], 8, 3, 4).is_none());
+        // The same parts with consistent extremes are accepted.
+        assert!(LogHistogram::from_parts(&[(3, 1), (5, 1)], 8, 3, 5).is_some());
     }
 
     #[test]

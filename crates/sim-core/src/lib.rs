@@ -12,10 +12,10 @@
 //!   builder for sensitivity studies.
 //! * [`Stats`] — simulation counters using the exact stat names from
 //!   Table VI of the paper's artifact appendix, plus occupancy
-//!   histograms used by Figures 11 and 12.
-//! * [`LogHistogram`] / [`LatencySplit`] — constant-memory HDR-style
-//!   latency reducers with bounded relative error, for the open-loop
-//!   traffic frontend's percentile tables.
+//!   histograms used by Figures 11 and 12, all declared in one table.
+//! * [`LogHistogram`] / [`LatencySplit`] — bounded-memory HDR-style
+//!   reducers with bounded relative error (exact below 128), for buffer
+//!   occupancies and the open-loop traffic frontend's latency tables.
 //! * [`DetRng`] — a seeded deterministic random number generator so every
 //!   experiment is exactly reproducible.
 //! * [`fnv1a_fold`] — the 64-bit FNV-1a digest every crate shares.
@@ -65,7 +65,7 @@ pub use ids::{EpochId, LineAddr, McId, ThreadId, CACHE_LINE_BYTES, CACHE_LINE_SH
 pub use intern::{mix64, LineIdx, LineTable};
 pub use rng::DetRng;
 pub use sample::Sampler;
-pub use stats::{Histogram, StatSnapshot, Stats};
+pub use stats::{StatMut, StatRef, StatSnapshot, Stats};
 pub use time::{Cycle, CYCLES_PER_NS};
 pub use trace::{
     env_trace_enabled, render_record, trace_value_enables, ChromeTracer, NullTracer, SharedBuf,

@@ -17,287 +17,210 @@
 //! Beyond Table VI, [`Stats`] carries the memory-system counters needed by
 //! Figures 9 and 13 (PM reads/writes, NACKs) and the time-weighted PB
 //! occupancy histogram of Figure 11. Its RT, ET and WPQ histograms are
-//! not time-weighted; see each field for what it samples.
+//! not time-weighted; see each field for what it samples. Occupancies
+//! are [`LogHistogram`]s, which count every value below 128 exactly.
+//!
+//! Every field is declared once, in the `stats_schema!` table below:
+//! it generates the struct, [`Stats::merge`], [`Stats::snapshot`], the
+//! borrowing [`Stats::fields`] view and the by-name [`Stats::field_mut`]
+//! view that the outcome cache's codec loops over. A new counter is a
+//! one-row change.
 
+use crate::hist::LogHistogram;
 use crate::time::Cycle;
 use std::collections::BTreeMap;
 
-/// A streaming histogram over small non-negative integer samples
-/// (buffer occupancies), supporting mean and arbitrary percentiles.
-///
-/// Samples are bucketed exactly (one bucket per value) because occupancies
-/// are bounded by buffer capacity (≤ 64 in every configuration we run).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Histogram {
-    counts: Vec<u64>,
-    total: u64,
+/// One [`Stats`] field, borrowed by [`Stats::fields`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatRef<'a> {
+    /// A scalar counter's value.
+    Counter(u64),
+    /// An occupancy histogram.
+    Histogram(&'a LogHistogram),
 }
 
-impl Histogram {
-    /// Create an empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
+/// One [`Stats`] field, mutably borrowed by [`Stats::field_mut`].
+#[derive(Debug)]
+pub enum StatMut<'a> {
+    /// A scalar counter.
+    Counter(&'a mut u64),
+    /// An occupancy histogram.
+    Histogram(&'a mut LogHistogram),
+}
+
+/// Merge rules a counter row can name.
+mod rule {
+    /// Add the two runs' counts (per-core blocks, per-run totals).
+    pub fn sum(a: u64, b: u64) -> u64 {
+        a + b
     }
 
-    /// Record one sample.
-    pub fn record(&mut self, value: usize) {
-        if self.counts.len() <= value {
-            self.counts.resize(value + 1, 0);
-        }
-        self.counts[value] += 1;
-        self.total += 1;
+    /// Keep the larger value (run length: the cores run concurrently).
+    pub fn max(a: u64, b: u64) -> u64 {
+        a.max(b)
     }
+}
 
-    /// Record `weight` occurrences of `value` (used for time-weighted
-    /// occupancy sampling: weight = cycles spent at that occupancy).
-    pub fn record_weighted(&mut self, value: usize, weight: u64) {
-        if weight == 0 {
-            return;
-        }
-        if self.counts.len() <= value {
-            self.counts.resize(value + 1, 0);
-        }
-        self.counts[value] += weight;
-        self.total += weight;
-    }
-
-    /// Number of recorded samples (including weights).
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Arithmetic mean of the samples, or 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let sum: u128 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(v, &c)| v as u128 * c as u128)
-            .sum();
-        sum as f64 / self.total as f64
-    }
-
-    /// The `p`-th percentile (0.0..=100.0) of the samples, or 0 if empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `0.0..=100.0`.
-    pub fn percentile(&self, p: f64) -> usize {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (v, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return v;
+/// Expands the one declaration of [`Stats`]: counter rows are
+/// `field: "paperName", rule;` with `rule` a function of [`rule`],
+/// histogram rows are `field;`, each after its doc comment.
+macro_rules! stats_schema {
+    (
+        $(#[$meta:meta])*
+        pub struct Stats {
+            counters {
+                $( $(#[$cmeta:meta])* $counter:ident: $paper:literal, $rule:ident; )*
+            }
+            histograms {
+                $( $(#[$hmeta:meta])* $hist:ident; )*
             }
         }
-        self.counts.len().saturating_sub(1)
-    }
-
-    /// Largest recorded value, or 0 if empty.
-    pub fn max(&self) -> usize {
-        self.counts.iter().rposition(|&c| c > 0).unwrap_or(0)
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (v, &c) in other.counts.iter().enumerate() {
-            self.record_weighted(v, c);
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct Stats {
+            $( $(#[$cmeta])* pub $counter: u64, )*
+            $( $(#[$hmeta])* pub $hist: LogHistogram, )*
         }
-    }
 
-    /// The non-empty `(value, count)` pairs in ascending value order — a
-    /// sparse view for exact serialization. Because no operation ever
-    /// leaves a trailing zero bucket (the counts vector only grows when
-    /// a bucket is actually hit), [`Histogram::from_buckets`] over this
-    /// view reconstructs a structurally identical histogram.
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(v, &c)| (v, c))
-            .collect()
-    }
+        impl Stats {
+            /// Every field name, counters then histograms, in declaration
+            /// order: the names [`Stats::fields`] yields and
+            /// [`Stats::field_mut`] accepts.
+            pub const FIELDS: &'static [&'static str] =
+                &[$(stringify!($counter),)* $(stringify!($hist),)*];
 
-    /// Rebuild a histogram from sparse `(value, count)` pairs (zero
-    /// counts are ignored, mirroring [`Histogram::record_weighted`]).
-    pub fn from_buckets(buckets: &[(usize, u64)]) -> Histogram {
-        let mut h = Histogram::new();
-        for &(v, c) in buckets {
-            h.record_weighted(v, c);
+            /// Merge the counters of another run into this one (used when
+            /// aggregating per-core stat blocks): each counter by its
+            /// row's rule, each histogram by [`LogHistogram::merge`].
+            pub fn merge(&mut self, o: &Stats) {
+                $( self.$counter = rule::$rule(self.$counter, o.$counter); )*
+                $( self.$hist.merge(&o.$hist); )*
+            }
+
+            /// Render the Table VI counters (plus the extended set) under
+            /// the paper's original stat names, suitable for printing as a
+            /// gem5-`stats.txt`-style listing.
+            pub fn snapshot(&self) -> StatSnapshot {
+                StatSnapshot {
+                    counters: BTreeMap::from([$(($paper.to_string(), self.$counter),)*]),
+                }
+            }
+
+            /// Every field as `(field name, value)`, in [`Stats::FIELDS`]
+            /// order, borrowing the histograms.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, StatRef<'_>)> {
+                [
+                    $((stringify!($counter), StatRef::Counter(self.$counter)),)*
+                    $((stringify!($hist), StatRef::Histogram(&self.$hist)),)*
+                ]
+                .into_iter()
+            }
+
+            /// The field named `field`, mutably, or `None` if [`Stats`]
+            /// has no such field.
+            pub fn field_mut(&mut self, field: &str) -> Option<StatMut<'_>> {
+                Some(match field {
+                    $(stringify!($counter) => StatMut::Counter(&mut self.$counter),)*
+                    $(stringify!($hist) => StatMut::Histogram(&mut self.$hist),)*
+                    _ => return None,
+                })
+            }
         }
-        h
-    }
+    };
 }
 
-/// All counters for one simulation run.
-///
-/// Field names are snake_case versions of the paper's camelCase stat
-/// names; [`Stats::snapshot`] renders them under the original names.
-/// `PartialEq` lets the parallel-sweep equivalence tests compare whole
-/// run outcomes structurally.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Stats {
-    // ---- Table VI stats ----
-    /// Cycles for which persist buffers were unable to flush
-    /// (non-empty but blocked by ordering). Summed over all cores.
-    pub cycles_blocked: u64,
-    /// CPU stall cycles because the persist buffer was full.
-    pub cycles_stalled: u64,
-    /// CPU stall cycles caused by `dfence` (waiting for durability).
-    pub dfence_stalled: u64,
-    /// Total writes enqueued into persist buffers.
-    pub entries_inserted: u64,
-    /// Number of cross-thread dependencies detected.
-    pub inter_t_epoch_conflict: u64,
-    /// Number of early (speculative) flushes sent to the MCs.
-    pub tot_spec_writes: u64,
-    /// Number of undo records created in recovery tables.
-    pub total_undo: u64,
+stats_schema! {
+    /// All counters for one simulation run.
+    ///
+    /// Field names are snake_case versions of the paper's camelCase stat
+    /// names; [`Stats::snapshot`] renders them under the original names.
+    /// `PartialEq` lets the parallel-sweep equivalence tests compare whole
+    /// run outcomes structurally.
+    pub struct Stats {
+        counters {
+            // ---- Table VI stats ----
+            /// Cycles for which persist buffers were unable to flush
+            /// (non-empty but blocked by ordering). Summed over all cores.
+            cycles_blocked: "cyclesBlocked", sum;
+            /// CPU stall cycles because the persist buffer was full.
+            cycles_stalled: "cyclesStalled", sum;
+            /// CPU stall cycles caused by `dfence` (waiting for durability).
+            dfence_stalled: "dfenceStalled", sum;
+            /// Total writes enqueued into persist buffers.
+            entries_inserted: "entriesInserted", sum;
+            /// Number of cross-thread dependencies detected.
+            inter_t_epoch_conflict: "interTEpochConflict", sum;
+            /// Number of early (speculative) flushes sent to the MCs.
+            tot_spec_writes: "totSpecWrites", sum;
+            /// Number of undo records created in recovery tables.
+            total_undo: "totalUndo", sum;
 
-    // ---- additional counters needed by the evaluation ----
-    /// CPU stall cycles caused by `ofence`/`sfence` (baseline only).
-    pub ofence_stalled: u64,
-    /// Writes actually issued to NVM media (Figure 9).
-    pub nvm_writes: u64,
-    /// Reads issued to NVM media, including undo-record reads (§VII-A:
-    /// "number of PM reads increases by 5.3%").
-    pub nvm_reads: u64,
-    /// Undo-record reads that hit the XPBuffer model.
-    pub xpbuffer_hits: u64,
-    /// Number of delay records created (write collisions, Fig. 5).
-    pub total_delay: u64,
-    /// Number of flushes NACKed because the RT was full (§V-D).
-    pub nacks: u64,
-    /// Epoch commit messages sent to MCs.
-    pub commit_msgs: u64,
-    /// Cross-dependency-resolved messages between threads.
-    pub cdr_msgs: u64,
-    /// Writes coalesced into an existing PB entry (never reached NVM
-    /// separately).
-    pub pb_coalesced: u64,
-    /// Writes coalesced inside the WPQ.
-    pub wpq_coalesced: u64,
-    /// Writes suppressed at the MC because a newer value was already in
-    /// memory (safe flush absorbed into an undo record).
-    pub mc_suppressed_writes: u64,
-    /// Total epochs created (ofence/acquire/release/dependency splits).
-    pub epochs_created: u64,
-    /// Total committed epochs.
-    pub epochs_committed: u64,
-    /// Total simulated cycles of the run (set by the driver at the end).
-    pub total_cycles: u64,
-    /// Number of logical workload operations completed.
-    pub ops_completed: u64,
-    /// Number of loads executed.
-    pub loads: u64,
-    /// Number of stores executed.
-    pub stores: u64,
-    /// HOPS: accesses to the global timestamp register.
-    pub global_ts_reads: u64,
-    /// Explicit `clwb`-style flush hints executed (see `MemOp::Flush`
-    /// in `asap-core`; pure hints, no ordering effect).
-    pub flush_hints: u64,
-
-    // ---- occupancy distributions ----
-    /// Time-weighted persist-buffer occupancy (Figure 11).
-    pub pb_occupancy: Histogram,
-    /// Recovery-table occupancy, one sample per RT event (an undo or
-    /// delay record created, an epoch commit) plus the largest per-MC
-    /// maximum at the end of the run. Not time-weighted: Figure 12 reads
-    /// the harness's `RunOutcome::rt_max_occupancy`, not this histogram.
-    pub rt_occupancy: Histogram,
-    /// Epoch-table occupancy: one end-of-run sample per core.
-    pub et_occupancy: Histogram,
-    /// WPQ occupancy. Never recorded by the engine, so it stays empty
-    /// and its percentiles read 0 on every workload.
-    pub wpq_occupancy: Histogram,
+            // ---- additional counters needed by the evaluation ----
+            /// CPU stall cycles caused by `ofence`/`sfence` (baseline only).
+            ofence_stalled: "ofenceStalled", sum;
+            /// Writes actually issued to NVM media (Figure 9).
+            nvm_writes: "nvmWrites", sum;
+            /// Reads issued to NVM media, including undo-record reads (§VII-A:
+            /// "number of PM reads increases by 5.3%").
+            nvm_reads: "nvmReads", sum;
+            /// Undo-record reads that hit the XPBuffer model.
+            xpbuffer_hits: "xpbufferHits", sum;
+            /// Number of delay records created (write collisions, Fig. 5).
+            total_delay: "totalDelay", sum;
+            /// Number of flushes NACKed because the RT was full (§V-D).
+            nacks: "nacks", sum;
+            /// Epoch commit messages sent to MCs.
+            commit_msgs: "commitMsgs", sum;
+            /// Cross-dependency-resolved messages between threads.
+            cdr_msgs: "cdrMsgs", sum;
+            /// Writes coalesced into an existing PB entry (never reached NVM
+            /// separately).
+            pb_coalesced: "pbCoalesced", sum;
+            /// Writes coalesced inside the WPQ.
+            wpq_coalesced: "wpqCoalesced", sum;
+            /// Writes suppressed at the MC because a newer value was already in
+            /// memory (safe flush absorbed into an undo record).
+            mc_suppressed_writes: "mcSuppressedWrites", sum;
+            /// Total epochs created (ofence/acquire/release/dependency splits).
+            epochs_created: "epochsCreated", sum;
+            /// Total committed epochs.
+            epochs_committed: "epochsCommitted", sum;
+            /// Total simulated cycles of the run (set by the driver at the end).
+            total_cycles: "totalCycles", max;
+            /// Number of logical workload operations completed.
+            ops_completed: "opsCompleted", sum;
+            /// Number of loads executed.
+            loads: "loads", sum;
+            /// Number of stores executed.
+            stores: "stores", sum;
+            /// HOPS: accesses to the global timestamp register.
+            global_ts_reads: "globalTsReads", sum;
+            /// Explicit `clwb`-style flush hints executed (see `MemOp::Flush`
+            /// in `asap-core`; pure hints, no ordering effect).
+            flush_hints: "flushHints", sum;
+        }
+        histograms {
+            /// Time-weighted persist-buffer occupancy (Figure 11).
+            pb_occupancy;
+            /// Recovery-table occupancy, one sample per RT event (an undo or
+            /// delay record created, an epoch commit) plus the largest per-MC
+            /// maximum at the end of the run. Not time-weighted: Figure 12 reads
+            /// the harness's `RunOutcome::rt_max_occupancy`, not this histogram.
+            rt_occupancy;
+            /// Epoch-table occupancy: one end-of-run sample per core.
+            et_occupancy;
+            /// WPQ occupancy. Never recorded by the engine, so it stays empty
+            /// and its percentiles read 0 on every workload.
+            wpq_occupancy;
+        }
+    }
 }
 
 impl Stats {
     /// Create a zeroed stats block.
     pub fn new() -> Stats {
         Stats::default()
-    }
-
-    /// Merge the counters of another run into this one (used when
-    /// aggregating per-core stat blocks).
-    pub fn merge(&mut self, o: &Stats) {
-        self.cycles_blocked += o.cycles_blocked;
-        self.cycles_stalled += o.cycles_stalled;
-        self.dfence_stalled += o.dfence_stalled;
-        self.entries_inserted += o.entries_inserted;
-        self.inter_t_epoch_conflict += o.inter_t_epoch_conflict;
-        self.tot_spec_writes += o.tot_spec_writes;
-        self.total_undo += o.total_undo;
-        self.ofence_stalled += o.ofence_stalled;
-        self.nvm_writes += o.nvm_writes;
-        self.nvm_reads += o.nvm_reads;
-        self.xpbuffer_hits += o.xpbuffer_hits;
-        self.total_delay += o.total_delay;
-        self.nacks += o.nacks;
-        self.commit_msgs += o.commit_msgs;
-        self.cdr_msgs += o.cdr_msgs;
-        self.pb_coalesced += o.pb_coalesced;
-        self.wpq_coalesced += o.wpq_coalesced;
-        self.mc_suppressed_writes += o.mc_suppressed_writes;
-        self.epochs_created += o.epochs_created;
-        self.epochs_committed += o.epochs_committed;
-        self.total_cycles = self.total_cycles.max(o.total_cycles);
-        self.ops_completed += o.ops_completed;
-        self.loads += o.loads;
-        self.stores += o.stores;
-        self.global_ts_reads += o.global_ts_reads;
-        self.flush_hints += o.flush_hints;
-        self.pb_occupancy.merge(&o.pb_occupancy);
-        self.rt_occupancy.merge(&o.rt_occupancy);
-        self.et_occupancy.merge(&o.et_occupancy);
-        self.wpq_occupancy.merge(&o.wpq_occupancy);
-    }
-
-    /// Render the Table VI counters (plus the extended set) under the
-    /// paper's original stat names, suitable for printing as a
-    /// gem5-`stats.txt`-style listing.
-    pub fn snapshot(&self) -> StatSnapshot {
-        let mut m = BTreeMap::new();
-        m.insert("cyclesBlocked".to_string(), self.cycles_blocked);
-        m.insert("cyclesStalled".to_string(), self.cycles_stalled);
-        m.insert("dfenceStalled".to_string(), self.dfence_stalled);
-        m.insert("entriesInserted".to_string(), self.entries_inserted);
-        m.insert(
-            "interTEpochConflict".to_string(),
-            self.inter_t_epoch_conflict,
-        );
-        m.insert("totSpecWrites".to_string(), self.tot_spec_writes);
-        m.insert("totalUndo".to_string(), self.total_undo);
-        m.insert("ofenceStalled".to_string(), self.ofence_stalled);
-        m.insert("nvmWrites".to_string(), self.nvm_writes);
-        m.insert("nvmReads".to_string(), self.nvm_reads);
-        m.insert("xpbufferHits".to_string(), self.xpbuffer_hits);
-        m.insert("totalDelay".to_string(), self.total_delay);
-        m.insert("nacks".to_string(), self.nacks);
-        m.insert("commitMsgs".to_string(), self.commit_msgs);
-        m.insert("cdrMsgs".to_string(), self.cdr_msgs);
-        m.insert("pbCoalesced".to_string(), self.pb_coalesced);
-        m.insert("wpqCoalesced".to_string(), self.wpq_coalesced);
-        m.insert("mcSuppressedWrites".to_string(), self.mc_suppressed_writes);
-        m.insert("epochsCreated".to_string(), self.epochs_created);
-        m.insert("epochsCommitted".to_string(), self.epochs_committed);
-        m.insert("totalCycles".to_string(), self.total_cycles);
-        m.insert("opsCompleted".to_string(), self.ops_completed);
-        m.insert("loads".to_string(), self.loads);
-        m.insert("stores".to_string(), self.stores);
-        m.insert("globalTsReads".to_string(), self.global_ts_reads);
-        m.insert("flushHints".to_string(), self.flush_hints);
-        StatSnapshot { counters: m }
     }
 
     /// Convenience: record the end-of-run time.
@@ -338,137 +261,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_mean_and_percentile() {
-        let mut h = Histogram::new();
-        for v in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 10] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 10);
-        assert!((h.mean() - 5.5).abs() < 1e-9);
-        assert_eq!(h.percentile(50.0), 5);
-        assert_eq!(h.percentile(99.0), 10);
-        assert_eq!(h.percentile(100.0), 10);
-        assert_eq!(h.max(), 10);
-    }
-
-    #[test]
-    fn histogram_weighted() {
-        let mut h = Histogram::new();
-        h.record_weighted(0, 90);
-        h.record_weighted(10, 10);
-        assert_eq!(h.count(), 100);
-        assert!((h.mean() - 1.0).abs() < 1e-9);
-        assert_eq!(h.percentile(89.0), 0);
-        assert_eq!(h.percentile(99.0), 10);
-        h.record_weighted(5, 0); // zero weight is a no-op
-        assert_eq!(h.count(), 100);
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.percentile(99.0), 0);
-        assert_eq!(h.max(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile out of range")]
-    fn histogram_percentile_validates() {
-        Histogram::new().percentile(101.0);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        a.record(1);
-        let mut b = Histogram::new();
-        b.record(3);
-        b.record(3);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), 3);
-    }
-
-    #[test]
-    fn histogram_percentile_zero_is_smallest_recorded_value() {
-        let mut h = Histogram::new();
-        h.record(3);
-        h.record(5);
-        h.record(9);
-        // p=0 clamps to rank 1: the smallest recorded value, not bucket 0.
-        assert_eq!(h.percentile(0.0), 3);
-        let empty = Histogram::new();
-        assert_eq!(empty.percentile(0.0), 0);
-    }
-
-    #[test]
-    fn histogram_weighted_boundary_ranks() {
-        // 90 samples at 0, 10 samples at 10: the 90th percentile's rank
-        // lands exactly on the last 0-sample; the first rank past it
-        // must move to the next bucket.
-        let mut h = Histogram::new();
-        h.record_weighted(0, 90);
-        h.record_weighted(10, 10);
-        assert_eq!(h.percentile(90.0), 0);
-        assert_eq!(h.percentile(90.5), 10);
-        assert_eq!(h.percentile(91.0), 10);
-        assert_eq!(h.percentile(100.0), 10);
-        // A single-sample histogram answers every percentile with it.
-        let mut one = Histogram::new();
-        one.record(7);
-        assert_eq!(one.percentile(0.0), 7);
-        assert_eq!(one.percentile(50.0), 7);
-        assert_eq!(one.percentile(100.0), 7);
-    }
-
-    #[test]
-    fn histogram_merge_is_commutative() {
-        let mut a = Histogram::new();
-        a.record_weighted(0, 40);
-        a.record_weighted(2, 3);
-        a.record(7);
-        let mut b = Histogram::new();
-        b.record_weighted(1, 12);
-        b.record_weighted(9, 2);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-
-        assert_eq!(ab.count(), ba.count());
-        assert_eq!(ab.max(), ba.max());
-        assert!((ab.mean() - ba.mean()).abs() < 1e-12);
-        for p in [0.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
-            assert_eq!(ab.percentile(p), ba.percentile(p), "p{p}");
-        }
-        // And associative with a third operand.
-        let mut c = Histogram::new();
-        c.record_weighted(4, 5);
-        let mut ab_c = ab.clone();
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc);
-    }
-
-    #[test]
-    fn histogram_buckets_round_trip_exactly() {
-        let mut h = Histogram::new();
-        h.record_weighted(0, 90);
-        h.record_weighted(10, 10);
-        h.record(3);
-        let rebuilt = Histogram::from_buckets(&h.nonzero_buckets());
-        assert_eq!(rebuilt, h, "sparse buckets must reconstruct exactly");
-        // Empty round-trips, and zero counts are ignored.
-        assert_eq!(Histogram::from_buckets(&[]), Histogram::new());
-        assert_eq!(Histogram::from_buckets(&[(5, 0)]), Histogram::new());
-    }
-
-    #[test]
     fn snapshot_uses_paper_names() {
         let mut s = Stats::new();
         s.cycles_blocked = 7;
@@ -506,70 +298,43 @@ mod tests {
 
     #[test]
     fn snapshot_covers_every_scalar_counter() {
-        // Assign each scalar a distinct value; every one must surface in
-        // the snapshot under its paper name with that exact value.
-        let s = Stats {
-            cycles_blocked: 1,
-            cycles_stalled: 2,
-            dfence_stalled: 3,
-            entries_inserted: 4,
-            inter_t_epoch_conflict: 5,
-            tot_spec_writes: 6,
-            total_undo: 7,
-            ofence_stalled: 8,
-            nvm_writes: 9,
-            nvm_reads: 10,
-            xpbuffer_hits: 11,
-            total_delay: 12,
-            nacks: 13,
-            commit_msgs: 14,
-            cdr_msgs: 15,
-            pb_coalesced: 16,
-            wpq_coalesced: 17,
-            mc_suppressed_writes: 18,
-            epochs_created: 19,
-            epochs_committed: 20,
-            total_cycles: 21,
-            ops_completed: 22,
-            loads: 23,
-            stores: 24,
-            global_ts_reads: 25,
-            flush_hints: 26,
-            ..Stats::new()
-        };
-        let snap = s.snapshot();
-        let expect = [
-            ("cyclesBlocked", 1),
-            ("cyclesStalled", 2),
-            ("dfenceStalled", 3),
-            ("entriesInserted", 4),
-            ("interTEpochConflict", 5),
-            ("totSpecWrites", 6),
-            ("totalUndo", 7),
-            ("ofenceStalled", 8),
-            ("nvmWrites", 9),
-            ("nvmReads", 10),
-            ("xpbufferHits", 11),
-            ("totalDelay", 12),
-            ("nacks", 13),
-            ("commitMsgs", 14),
-            ("cdrMsgs", 15),
-            ("pbCoalesced", 16),
-            ("wpqCoalesced", 17),
-            ("mcSuppressedWrites", 18),
-            ("epochsCreated", 19),
-            ("epochsCommitted", 20),
-            ("totalCycles", 21),
-            ("opsCompleted", 22),
-            ("loads", 23),
-            ("stores", 24),
-            ("globalTsReads", 25),
-            ("flushHints", 26),
-        ];
-        assert_eq!(snap.iter().count(), expect.len());
-        for (name, value) in expect {
-            assert_eq!(snap.get(name), Some(value), "counter {name}");
+        // Give each counter a distinct value through the generated view.
+        let mut s = Stats::new();
+        let mut counters = 0;
+        for &field in Stats::FIELDS {
+            match s.field_mut(field).expect("declared field") {
+                StatMut::Counter(v) => {
+                    counters += 1;
+                    *v = counters;
+                }
+                StatMut::Histogram(h) => h.record(counters),
+            }
         }
+        assert!(s.field_mut("no_such_counter").is_none());
+
+        // The borrowing view reads back every field, in declaration order.
+        let names: Vec<&str> = s.fields().map(|(f, _)| f).collect();
+        assert_eq!(names, Stats::FIELDS);
+        let read: Vec<u64> = s
+            .fields()
+            .filter_map(|(_, v)| match v {
+                StatRef::Counter(c) => Some(c),
+                StatRef::Histogram(_) => None,
+            })
+            .collect();
+        assert_eq!(read, (1..=counters).collect::<Vec<_>>());
+
+        // One snapshot entry per counter, under distinct paper names (a
+        // shared name would collapse two entries), carrying every value.
+        let snap = s.snapshot();
+        let mut values: Vec<u64> = snap.iter().map(|(_, v)| v).collect();
+        values.sort_unstable();
+        assert_eq!(values, read);
+
+        // Merging into a zeroed block reproduces every field.
+        let mut merged = Stats::new();
+        merged.merge(&s);
+        assert_eq!(merged, s);
     }
 
     #[test]

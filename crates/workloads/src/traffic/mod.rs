@@ -7,13 +7,13 @@
 //! especially its tail — under a given offered load. This module supplies
 //! that frontend:
 //!
-//! - [`arrivals`]-style open-loop arrival processes (fixed, Poisson,
-//!   bursty MMPP, diurnal ramp), all on the deterministic [`DetRng`];
-//! - Zipf-skewed key popularity via [`KeySampler`](crate::KeySampler);
+//! - open-loop [`ArrivalProcess`]es (fixed, Poisson, bursty MMPP,
+//!   diurnal ramp), all on the deterministic [`DetRng`];
+//! - Zipf-skewed key popularity via [`crate::KeySampler`];
 //! - [`generate`]: a `(config, seed)` pair deterministically expanded
 //!   into a time-ordered request bank;
-//! - a text [`trace`] format so banks can be exported, inspected and
-//!   replayed byte-identically;
+//! - a text trace format ([`format_trace`] / [`parse_trace`]) so banks
+//!   can be exported, inspected and replayed byte-identically;
 //! - [`RequestService`] adapters mapping requests onto the WHISPER apps'
 //!   persist-critical sections (memcached, echo, nstore);
 //! - the [`OpenLoop`] driver: a [`ThreadProgram`](asap_core::ThreadProgram)
@@ -23,8 +23,8 @@
 //!
 //! Determinism contract: a request bank is a pure function of its
 //! [`TrafficConfig`]; the measured latency tables are a pure function of
-//! bank × app × timing model — independent of host threads, worker
-//! counts and event-queue kind.
+//! bank × app × timing model — independent of host threads and worker
+//! counts.
 
 mod arrivals;
 mod driver;

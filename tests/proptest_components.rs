@@ -12,8 +12,7 @@ use asap::mc::RecoveryTable;
 use asap::model::DepGraph;
 use asap::pm::{NvmImage, PmAllocator, PmSpace};
 use asap::sim::{
-    Cycle, DetRng, EpochId, EventQueue, Histogram, LineAddr, LineIdx, LineTable, LogHistogram,
-    ThreadId,
+    Cycle, DetRng, EpochId, EventQueue, LineAddr, LineIdx, LineTable, LogHistogram, ThreadId,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -228,8 +227,8 @@ fn histogram_percentiles_are_monotonic() {
     for case in 0..CASES {
         let mut rng = case_rng(8, case);
         let n = rng.index(199) + 1;
-        let samples: Vec<usize> = (0..n).map(|_| rng.index(64)).collect();
-        let mut h = Histogram::new();
+        let samples: Vec<u64> = (0..n).map(|_| rng.below(64)).collect();
+        let mut h = LogHistogram::new();
         for &s in &samples {
             h.record(s);
         }
@@ -246,10 +245,17 @@ fn histogram_percentiles_are_monotonic() {
     }
 }
 
-// ---- log-bucketed histogram vs dense reference ----
+// ---- log-bucketed histogram vs the exact sorted samples ----
 
-/// The constant-memory [`LogHistogram`] must agree with the dense
-/// [`Histogram`] on every percentile within its documented relative
+/// Exact percentile of ascending `sorted` under the histogram's rank
+/// convention: `ceil(p/100 · n)`, clamped to at least 1.
+fn exact_percentile(sorted: &[u64], p: f64) -> u64 {
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
+    sorted[rank - 1]
+}
+
+/// [`LogHistogram`] must agree with the dense reference, every sample
+/// kept and sorted, on every percentile within its documented relative
 /// error bound, across value magnitudes spanning many octaves.
 #[test]
 fn log_histogram_percentiles_match_dense_within_error_bound() {
@@ -264,14 +270,14 @@ fn log_histogram_percentiles_match_dense_within_error_bound() {
                 rng.below(1u64 << octave)
             })
             .collect();
-        let mut dense = Histogram::new();
         let mut log = LogHistogram::new();
         for &s in &samples {
-            dense.record(s as usize);
             log.record(s);
         }
+        let mut dense = samples.clone();
+        dense.sort_unstable();
         for p in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0] {
-            let exact = dense.percentile(p) as u64;
+            let exact = exact_percentile(&dense, p);
             let approx = log.percentile(p);
             let bound = exact as f64 * LogHistogram::REL_ERROR + 0.5;
             assert!(
@@ -279,9 +285,10 @@ fn log_histogram_percentiles_match_dense_within_error_bound() {
                 "case {case}: p{p}: dense={exact} log={approx} bound={bound}"
             );
         }
-        assert_eq!(log.count(), dense.count(), "case {case}");
-        assert_eq!(log.max(), dense.max() as u64, "case {case}");
-        assert!((log.mean() - dense.mean()).abs() < 1e-6, "case {case}");
+        let mean = dense.iter().map(|&s| s as f64).sum::<f64>() / n as f64;
+        assert_eq!(log.count(), n as u64, "case {case}");
+        assert_eq!(log.max(), dense[n - 1], "case {case}");
+        assert!((log.mean() - mean).abs() < 1e-6, "case {case}");
     }
 }
 
