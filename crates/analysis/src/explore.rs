@@ -15,14 +15,15 @@
 //!    partitions it into equivalence intervals whose members provably
 //!    recover to byte-identical NVM images (see
 //!    `asap_core::sim::collect`). One representative per interval is
-//!    enough — the rest are *pruned* (90%+ in practice), which is what
-//!    makes ~10⁶-point spaces checkable at all: the quick CI suite
-//!    (~2×10⁵ raw points) verifies in about a second, and a measured
+//!    enough — the rest are *pruned* (90%+ in practice): a measured
 //!    1.06M-point single-workload run prunes to 47k classes.
 //! 2. **Verify** ([`verify_chunk`]) — the surviving representatives,
 //!    split into chunks, are checked by deterministic re-runs: a fresh
 //!    simulation advances to each survivor in ascending order and runs
-//!    the non-destructive oracle (`Sim::crash_check_now`). Chunks are
+//!    the non-destructive oracle (`Sim::crash_check_now`). The oracle
+//!    is linear in the journal, image and graph (tens of µs per check
+//!    at quick scale), so with `--prune off` the quick CI suite checks
+//!    every one of its ~2×10⁵ raw points in about a second. Chunks are
 //!    independent jobs, so a harness can fan them out across a worker
 //!    pool; results assemble in input order ([`assemble_config`]),
 //!    keeping reports byte-identical at any worker count.

@@ -16,12 +16,14 @@
 //!
 //! Per-thread epoch timestamps are small consecutive integers (the engine
 //! opens them with `cur_ts + 1`), so all per-epoch state lives in dense
-//! per-thread vectors indexed by timestamp — no hashing on the
-//! register/commit hot path, and every iterator walks threads in id order
-//! and epochs in timestamp order, keeping iteration deterministic.
+//! per-thread vectors indexed by timestamp — no hashing anywhere, and
+//! every iterator walks threads in id order and epochs in timestamp
+//! order, keeping iteration deterministic. The acyclicity check runs
+//! Kahn's algorithm over the same lanes (the same-thread edge implicit,
+//! the cross edges in one CSR array), so it is linear in epochs plus
+//! edges; the oracle runs it at every checked crash point.
 
 use asap_sim_core::{EpochId, ThreadId};
-use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Per-epoch record, indexed by `[thread][ts]`.
 #[derive(Debug, Clone, Default)]
@@ -52,8 +54,9 @@ struct EpochSlot {
 /// g.ensure(a);
 /// g.ensure(b);
 /// g.add_cross_dep(b, a); // b depends on a
-/// assert!(g.transitive_deps(b).contains(&a));
-/// assert!(g.topological_order().is_some()); // acyclic
+/// assert_eq!(g.direct_deps(b), vec![a]);
+/// // Acyclic, so a topological order exists; a comes first.
+/// assert_eq!(g.topological_order(), Some(vec![a, b]));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DepGraph {
@@ -163,11 +166,16 @@ impl DepGraph {
         self.iter_slots().map(|(e, _)| e)
     }
 
+    /// Registered slots, in (thread, timestamp) order.
     fn iter_slots(&self) -> impl Iterator<Item = (EpochId, &EpochSlot)> + '_ {
+        self.lane_slots().filter(|(_, s)| s.exists)
+    }
+
+    /// Every lane slot, gap slots included, in (thread, timestamp) order.
+    fn lane_slots(&self) -> impl Iterator<Item = (EpochId, &EpochSlot)> + '_ {
         self.threads.iter().enumerate().flat_map(|(t, lane)| {
             lane.iter()
                 .enumerate()
-                .filter(|(_, s)| s.exists)
                 .map(move |(ts, s)| (EpochId::new(ThreadId(t), ts as u64), s))
         })
     }
@@ -224,63 +232,74 @@ impl DepGraph {
         out
     }
 
-    /// The transitive closure of [`direct_deps`](Self::direct_deps).
-    pub fn transitive_deps(&self, e: EpochId) -> HashSet<EpochId> {
-        let mut seen = HashSet::new();
-        let mut queue: VecDeque<EpochId> = self.direct_deps(e).into();
-        while let Some(d) = queue.pop_front() {
-            if seen.insert(d) {
-                queue.extend(self.direct_deps(d));
-            }
-        }
-        seen
-    }
-
-    /// All nodes reachable as dependencies plus registered nodes.
-    fn all_nodes(&self) -> HashSet<EpochId> {
-        let mut nodes: HashSet<EpochId> = self.nodes().collect();
-        // Intra-thread predecessors of registered nodes (ts gaps cannot
-        // occur, but be permissive).
-        for (t, lane) in self.threads.iter().enumerate() {
-            for ts in 0..lane.len() {
-                nodes.insert(EpochId::new(ThreadId(t), ts as u64));
-            }
-        }
-        nodes
-    }
-
-    /// Kahn's algorithm: returns a topological order, or `None` if the
-    /// graph has a cycle (which would falsify the paper's Lemma 0.1 and
-    /// indicate a protocol bug).
+    /// Kahn's algorithm over the dense lanes: returns a topological
+    /// order of every lane slot (registered epochs and the gap slots
+    /// below them), or `None` if the graph has a cycle (which would
+    /// falsify the paper's Lemma 0.1 and indicate a protocol bug).
+    ///
+    /// The same-thread edge `(t, ts-1) -> (t, ts)` stays implicit; the
+    /// cross edges are laid out once, grouped by source slot, in a CSR
+    /// array. The output doubles as the FIFO of ready slots, so one call
+    /// costs O(slots + cross edges).
     pub fn topological_order(&self) -> Option<Vec<EpochId>> {
-        let nodes = self.all_nodes();
-        let mut indegree: HashMap<EpochId, usize> = nodes.iter().map(|&n| (n, 0)).collect();
-        let mut forward: HashMap<EpochId, Vec<EpochId>> = HashMap::new();
-        for &n in &nodes {
-            for d in self.direct_deps(n) {
-                if nodes.contains(&d) {
-                    *indegree.get_mut(&n).expect("node present") += 1;
-                    forward.entry(d).or_default().push(n);
-                }
+        // Slot (t, ts) is numbered base[t] + ts.
+        let mut base = Vec::with_capacity(self.threads.len());
+        let mut slots = 0;
+        for lane in &self.threads {
+            base.push(slots);
+            slots += lane.len();
+        }
+        let index = |e: EpochId| base[e.thread.0] + e.ts as usize;
+
+        // In-degrees, and every slot's cross successors in one CSR
+        // array: slot i's are succ[start[i]..start[i + 1]].
+        let mut indegree = vec![0u32; slots];
+        let mut start = vec![0usize; slots + 1];
+        for (e, slot) in self.lane_slots() {
+            indegree[index(e)] = u32::from(e.ts > 0) + slot.cross.len() as u32;
+            for &src in &slot.cross {
+                start[index(src)] += 1;
             }
         }
-        let mut ready: VecDeque<EpochId> = indegree
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
-            .collect();
-        let mut order = Vec::with_capacity(nodes.len());
-        while let Some(n) = ready.pop_front() {
-            order.push(n);
-            for &succ in forward.get(&n).map(Vec::as_slice).unwrap_or(&[]) {
-                let d = indegree.get_mut(&succ).expect("node present");
+        // Running sums make start[i] the end of slot i's range; filling
+        // each range from its end leaves start[i] at its beginning.
+        for i in 1..=slots {
+            start[i] += start[i - 1];
+        }
+        let mut succ = vec![EpochId::new(ThreadId(0), 0); start[slots]];
+        for (e, slot) in self.lane_slots() {
+            for &src in &slot.cross {
+                let end = &mut start[index(src)];
+                *end -= 1;
+                succ[*end] = e;
+            }
+        }
+
+        // Only a lane's first slot can start ready: every later one
+        // waits on its predecessor.
+        let mut order = Vec::with_capacity(slots);
+        order.extend(
+            (0..self.threads.len())
+                .filter(|&t| self.threads[t].first().is_some_and(|s| s.cross.is_empty()))
+                .map(|t| EpochId::new(ThreadId(t), 0)),
+        );
+        let mut head = 0;
+        while let Some(&e) = order.get(head) {
+            head += 1;
+            let i = index(e);
+            let same_thread = (e.ts + 1 < self.threads[e.thread.0].len() as u64).then(|| e.next());
+            for next in same_thread
+                .into_iter()
+                .chain(succ[start[i]..start[i + 1]].iter().copied())
+            {
+                let d = &mut indegree[index(next)];
                 *d -= 1;
                 if *d == 0 {
-                    ready.push_back(succ);
+                    order.push(next);
                 }
             }
         }
-        (order.len() == nodes.len()).then_some(order)
+        (order.len() == slots).then_some(order)
     }
 }
 
@@ -298,21 +317,24 @@ mod tests {
         g.ensure(ep(0, 2));
         let deps = g.direct_deps(ep(0, 2));
         assert_eq!(deps, vec![ep(0, 1)]);
-        let trans = g.transitive_deps(ep(0, 2));
-        assert!(trans.contains(&ep(0, 1)));
-        assert!(trans.contains(&ep(0, 0)));
-        assert_eq!(trans.len(), 2);
+        // The gap slots below (0,2) are ordered before it, in lane order.
+        assert_eq!(
+            g.topological_order(),
+            Some(vec![ep(0, 0), ep(0, 1), ep(0, 2)])
+        );
     }
 
     #[test]
     fn cross_deps_compose_transitively() {
         let mut g = DepGraph::new();
         g.add_cross_dep(ep(1, 1), ep(0, 3));
-        let trans = g.transitive_deps(ep(1, 1));
-        assert!(trans.contains(&ep(0, 3)));
-        assert!(trans.contains(&ep(0, 0)));
-        assert!(trans.contains(&ep(1, 0)));
-        assert!(!trans.contains(&ep(1, 1))); // not its own dep
+        let order = g.topological_order().expect("acyclic");
+        let pos = |e: EpochId| order.iter().position(|&x| x == e).unwrap();
+        // (0,0) reaches (1,1) only through the cross edge from (0,3).
+        assert!(pos(ep(0, 0)) < pos(ep(0, 3)));
+        assert!(pos(ep(0, 3)) < pos(ep(1, 1)));
+        assert!(pos(ep(1, 0)) < pos(ep(1, 1)));
+        assert_eq!(order.len(), 6, "four slots on thread 0, two on thread 1");
     }
 
     #[test]
@@ -353,7 +375,7 @@ mod tests {
         let mut g = DepGraph::new();
         g.ensure(ep(3, 0));
         assert!(g.direct_deps(ep(3, 0)).is_empty());
-        assert!(g.transitive_deps(ep(3, 0)).is_empty());
+        assert_eq!(g.topological_order(), Some(vec![ep(3, 0)]));
     }
 
     #[test]

@@ -23,51 +23,24 @@
 //!      newer write — which leaves the same final state). `C ⊆` durable
 //!      is exactly Lemma 1.1; the dependency closure is the §IV-B
 //!      ordering guarantee.
+//!
+//! ## Cost
+//!
+//! One check is linear in the journal, the image and the graph, which
+//! is what lets the crash-space explorer run it at every crash point it
+//! keeps. The obligations are closed under the same-thread predecessor
+//! edge, so on each thread they form a prefix `0..hi[t]`: the committed
+//! and visible epochs seed the bounds, and one walk raises them to a
+//! fixpoint over the cross edges, reading each epoch's edges once. The
+//! executed writes of the obligated epochs are grouped by epoch with
+//! one counting sort, in journal order, and only the owner seq of each
+//! line is read back. A quadratic reference that closes each epoch
+//! separately lives in `tests/proptest_components.rs`; the two must
+//! produce equal reports.
 
 use crate::deps::DepGraph;
 use asap_pm_mem::{NvmImage, WriteJournal};
 use asap_sim_core::{EpochId, LineAddr, ThreadId};
-
-/// Dense per-thread, per-timestamp table keyed by `EpochId` (timestamps
-/// are small consecutive integers, so `[thread][ts]` indexing replaces
-/// the hash maps this check used to build). Iteration is thread-major,
-/// timestamp-minor, which makes the violation report order deterministic.
-struct EpochDense<T> {
-    threads: Vec<Vec<T>>,
-}
-
-impl<T: Default> EpochDense<T> {
-    fn new() -> EpochDense<T> {
-        EpochDense {
-            threads: Vec::new(),
-        }
-    }
-
-    fn get_mut(&mut self, e: EpochId) -> &mut T {
-        let t = e.thread.0;
-        if t >= self.threads.len() {
-            self.threads.resize_with(t + 1, Vec::new);
-        }
-        let lane = &mut self.threads[t];
-        let ts = e.ts as usize;
-        if ts >= lane.len() {
-            lane.resize_with(ts + 1, T::default);
-        }
-        &mut lane[ts]
-    }
-
-    fn get(&self, e: EpochId) -> Option<&T> {
-        self.threads.get(e.thread.0)?.get(e.ts as usize)
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (EpochId, &T)> + '_ {
-        self.threads.iter().enumerate().flat_map(|(t, lane)| {
-            lane.iter()
-                .enumerate()
-                .map(move |(ts, v)| (EpochId::new(ThreadId(t), ts as u64), v))
-        })
-    }
-}
 
 /// The oracle rule a [`Violation`] broke. Every violation the checker
 /// can emit maps to exactly one rule, so downstream consumers (the
@@ -202,23 +175,11 @@ pub fn check(journal: &WriteJournal, deps: &DepGraph, nvm: &NvmImage) -> CrashRe
         });
     }
 
-    // Per-epoch write sets: epoch -> [(line, last (max-seq) write)],
-    // lines in first-write order.
-    let mut epoch_writes: EpochDense<Vec<(LineAddr, u64)>> = EpochDense::new();
-    for e in journal.entries() {
-        let Some(epoch) = e.epoch else {
-            continue; // never executed: no durability obligation
-        };
-        let writes = epoch_writes.get_mut(epoch);
-        match writes.iter_mut().find(|(l, _)| *l == e.line) {
-            Some((_, s)) => *s = (*s).max(e.seq.0),
-            None => writes.push((e.line, e.seq.0)),
-        }
-    }
-
-    // Check 1: value integrity of every recovered line.
-    let mut visible: EpochDense<bool> = EpochDense::new();
-    let mut epochs_visible = 0usize;
+    // Check 1: value integrity of every recovered line. Each newly seen
+    // visible epoch seeds the obligation bounds with its direct
+    // dependencies.
+    let mut visible: Vec<Vec<bool>> = Vec::new();
+    let mut hi: Vec<u64> = Vec::new();
     for (&line, rec) in nvm.iter() {
         report.lines_checked += 1;
         match rec.seq {
@@ -250,10 +211,12 @@ pub fn check(journal: &WriteJournal, deps: &DepGraph, nvm: &NvmImage) -> CrashRe
                     });
                 }
                 if let Some(e) = rec.epoch {
-                    let seen = visible.get_mut(e);
-                    if !*seen {
-                        *seen = true;
-                        epochs_visible += 1;
+                    if insert(&mut visible, e) {
+                        report.epochs_visible += 1;
+                        raise(&mut hi, e.thread.0, e.ts);
+                        for s in deps.cross_deps_of(e) {
+                            raise(&mut hi, s.thread.0, s.ts + 1);
+                        }
                     }
                 }
             }
@@ -270,31 +233,64 @@ pub fn check(journal: &WriteJournal, deps: &DepGraph, nvm: &NvmImage) -> CrashRe
             }
         }
     }
-    report.epochs_visible = epochs_visible;
 
     // Check 2: prefix closure + committed durability.
-    let mut obligated: EpochDense<bool> = EpochDense::new();
-    for (e, &vis) in visible.iter() {
-        if vis {
-            for d in deps.transitive_deps(e) {
-                *obligated.get_mut(d) = true;
+    for c in deps.committed() {
+        raise(&mut hi, c.thread.0, c.ts + 1);
+    }
+    close_bounds(deps, &mut hi);
+
+    // Executed writes of the obligated epochs, grouped by epoch in
+    // journal order (counting sort). Slot (t, ts) is base[t] + ts.
+    let mut base = Vec::with_capacity(hi.len());
+    let mut slots = 0;
+    for &h in &hi {
+        base.push(slots);
+        slots += h as usize;
+    }
+    let slot_of = |e: EpochId| {
+        let &h = hi.get(e.thread.0)?;
+        (e.ts < h).then(|| base[e.thread.0] + e.ts as usize)
+    };
+    let mut start = vec![0usize; slots + 1];
+    for entry in journal.entries() {
+        if let Some(i) = entry.epoch.and_then(slot_of) {
+            start[i] += 1;
+        }
+    }
+    // Running sums make start[i] the end of slot i's range; filling each
+    // range backwards from its end, over the journal reversed, leaves
+    // start[i] at its beginning and the range in journal order.
+    for i in 1..=slots {
+        start[i] += start[i - 1];
+    }
+    let mut writes = vec![(LineAddr::containing(0), 0u64); start[slots]];
+    for entry in journal.entries().iter().rev() {
+        if let Some(i) = entry.epoch.and_then(slot_of) {
+            start[i] -= 1;
+            writes[start[i]] = (entry.line, entry.seq.0);
+        }
+    }
+
+    // Each obligated epoch's lines, in first-write order with the last
+    // (max-seq) write, must have survived.
+    let mut lines: Vec<(LineAddr, u64)> = Vec::new();
+    for (t, &h) in hi.iter().enumerate() {
+        for ts in 0..h {
+            let e = EpochId::new(ThreadId(t), ts);
+            let i = base[t] + ts as usize;
+            lines.clear();
+            for &(line, seq) in &writes[start[i]..start[i + 1]] {
+                match lines.iter_mut().find(|(l, _)| *l == line) {
+                    Some((_, s)) => *s = (*s).max(seq),
+                    None => lines.push((line, seq)),
+                }
             }
-        }
-    }
-    for e in deps.committed().collect::<Vec<_>>() {
-        *obligated.get_mut(e) = true;
-        for d in deps.transitive_deps(e) {
-            *obligated.get_mut(d) = true;
-        }
-    }
-    for (e, _) in obligated.iter().filter(|&(_, &ob)| ob) {
-        let Some(writes) = epoch_writes.get(e) else {
-            continue; // epoch issued no executed writes
-        };
-        for &(line, max_seq) in writes {
-            let rec = nvm.line(line);
-            let surviving = rec.seq.is_some_and(|s| s >= max_seq);
-            if !surviving {
+            for &(line, max_seq) in &lines {
+                let owner = nvm.owner_seq(line);
+                if owner.is_some_and(|s| s >= max_seq) {
+                    continue;
+                }
                 let (rule, why) = if deps.is_committed(e) {
                     (
                         ViolationRule::CommittedWriteLost,
@@ -310,8 +306,7 @@ pub fn check(journal: &WriteJournal, deps: &DepGraph, nvm: &NvmImage) -> CrashRe
                     rule,
                     message: format!(
                         "epoch {e}: write seq {max_seq} to {line} did not survive \
-                         (recovered owner seq {:?}): {why}",
-                        rec.seq
+                         (recovered owner seq {owner:?}): {why}"
                     ),
                 });
             }
@@ -319,6 +314,56 @@ pub fn check(journal: &WriteJournal, deps: &DepGraph, nvm: &NvmImage) -> CrashRe
     }
 
     report
+}
+
+/// Mark `e` in per-thread lanes; `true` if it was not marked before.
+fn insert(lanes: &mut Vec<Vec<bool>>, e: EpochId) -> bool {
+    let t = e.thread.0;
+    if t >= lanes.len() {
+        lanes.resize_with(t + 1, Vec::new);
+    }
+    let lane = &mut lanes[t];
+    let ts = e.ts as usize;
+    if ts >= lane.len() {
+        lane.resize(ts + 1, false);
+    }
+    !std::mem::replace(&mut lane[ts], true)
+}
+
+/// Raise thread `t`'s exclusive obligation bound to at least `bound`;
+/// `true` if it grew.
+fn raise(hi: &mut Vec<u64>, t: usize, bound: u64) -> bool {
+    if t >= hi.len() {
+        hi.resize(t + 1, 0);
+    }
+    let grew = bound > hi[t];
+    if grew {
+        hi[t] = bound;
+    }
+    grew
+}
+
+/// Raise the bounds to their fixpoint: the cross sources of every
+/// covered epoch are covered too. Obligations are closed under the
+/// same-thread predecessor edge, so on each thread they form the prefix
+/// `0..hi[t]`, and each epoch's cross edges are read once.
+fn close_bounds(deps: &DepGraph, hi: &mut Vec<u64>) {
+    let mut done: Vec<u64> = Vec::new();
+    let mut pending: Vec<usize> = (0..hi.len()).collect();
+    while let Some(t) = pending.pop() {
+        if done.len() < hi.len() {
+            done.resize(hi.len(), 0);
+        }
+        while done[t] < hi[t] {
+            let e = EpochId::new(ThreadId(t), done[t]);
+            done[t] += 1;
+            for s in deps.cross_deps_of(e) {
+                if raise(hi, s.thread.0, s.ts + 1) {
+                    pending.push(s.thread.0);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -69,15 +69,20 @@ impl PersistencyModel for BbbModel {
         eng.battery_fence(t);
     }
 
-    /// The battery-backed buffer is itself durable: drain order is
-    /// irrelevant — except per (line, epoch), which the shared
-    /// same-epoch rule already enforces.
+    /// The battery-backed buffer is itself durable, so lines drain in
+    /// any order. Only the shared same-epoch rule orders two writes to
+    /// one line, so an older epoch's write can reach the media after a
+    /// newer epoch's write to the same line and overwrite it. The
+    /// crash-space explorer reports this as `committed-write-lost` on
+    /// echo/bbb at 12 ops/thread; it is an open ROADMAP item.
     fn relaxed_lines(&self, _t: usize) -> bool {
         true
     }
 
-    /// BBB drains freely: the buffer itself is the persistence domain,
-    /// so drain order never matters for recovery.
+    /// BBB drains epochs in any order: the buffer itself is the
+    /// persistence domain. That holds across lines only; same-line
+    /// writes of different epochs still need their coherence order
+    /// (see `relaxed_lines`).
     fn epoch_eligible(&self, _eng: &Engine, _t: usize, _e: asap_sim_core::EpochId) -> bool {
         true
     }

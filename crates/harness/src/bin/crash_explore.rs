@@ -52,6 +52,7 @@ use asap_harness::exec::{complete_outcomes, run_sweep};
 use asap_harness::pool;
 use asap_sim_core::ModelKind;
 use asap_workloads::WorkloadKind;
+use std::num::NonZeroUsize;
 
 fn usage() -> ! {
     println!(
@@ -117,9 +118,12 @@ fn main() {
     p.ops_per_thread = parse_arg_or(&argv, "--ops", p.ops_per_thread);
     p.seed = parse_arg_or(&argv, "--seed", p.seed);
     p.pad = parse_arg_or(&argv, "--pad", p.pad);
-    p.points_budget = parse_arg_or(&argv, "--points-budget", p.points_budget);
+    // A zero budget or chunk is a usage error (exit 2): parsing as
+    // `NonZeroUsize` rejects it.
+    p.points_budget =
+        parse_arg(&argv, "--points-budget").map_or(p.points_budget, NonZeroUsize::get);
     p.prune = parse_arg_or(&argv, "--prune", p.prune);
-    p.chunk = parse_arg_or(&argv, "--chunk", p.chunk);
+    p.chunk = parse_arg(&argv, "--chunk").map_or(p.chunk, NonZeroUsize::get);
     if has_flag(&argv, "--broken-fixture") {
         p.broken_undo_every = 1;
     }

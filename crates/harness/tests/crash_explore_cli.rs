@@ -203,6 +203,20 @@ fn zero_threads_exits_two_naming_the_flag() {
 }
 
 #[test]
+fn zero_budget_or_chunk_exits_two_naming_the_flag() {
+    // Both used to clamp to 1: `--points-budget 0` checked a single
+    // class and exited 0, `--chunk 0` re-simulated once per point.
+    for flag in ["--points-budget", "--chunk"] {
+        let out = explore(&[flag, "0", "--workloads", "queue", "--models", "asap"]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        assert!(err.contains(flag) && err.contains("'0'"), "{err}");
+        assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
+        assert!(stdout_of(&out).is_empty(), "ran the explorer");
+    }
+}
+
+#[test]
 fn deleting_one_chunk_entry_resimulates_exactly_one_leg() {
     let dir = std::env::temp_dir().join(format!("crash_explore_chunks_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -158,6 +158,13 @@ impl NvmImage {
             .map_or_else(LineRecord::default, |i| self.recs[i].clone())
     }
 
+    /// Sequence number of the write owning `line`'s current value
+    /// (`None` for untagged or never-written lines), without copying
+    /// the line record.
+    pub fn owner_seq(&self, line: LineAddr) -> Option<u64> {
+        self.lookup(line).and_then(|i| self.recs[i].seq)
+    }
+
     /// Apply a write to the media, recording its ownership tag.
     pub fn persist(
         &mut self,

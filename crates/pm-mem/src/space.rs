@@ -130,12 +130,6 @@ impl PmSpace {
         }
     }
 
-    /// Read one byte.
-    pub fn read_u8(&self, addr: u64) -> u8 {
-        let (pno, off) = Self::page_of(addr);
-        self.lookup(pno).map_or(0, |i| self.pages[i][off])
-    }
-
     /// Read `buf.len()` bytes starting at `addr`.
     ///
     /// Works a page at a time: the hot path (line snapshots, word loads)
@@ -207,7 +201,6 @@ mod tests {
     #[test]
     fn zero_initialised() {
         let pm = PmSpace::new();
-        assert_eq!(pm.read_u8(0), 0);
         assert_eq!(pm.read_u64(0xdead_0000), 0);
         assert_eq!(pm.pages.len(), 0, "reads must not back pages");
     }

@@ -1,6 +1,7 @@
 //! Randomized property tests on the core data structures and invariants:
 //! allocator disjointness, recovery-table state machine, Bloom filter,
-//! event-queue ordering, histogram percentiles and the dependency DAG.
+//! event-queue ordering, histogram percentiles, the dependency DAG and
+//! the crash oracle (against a quadratic reference).
 //!
 //! Cases are generated with the workspace's own [`DetRng`] (seeded per
 //! case, so every failure is reproducible from the printed case number)
@@ -9,12 +10,13 @@
 
 use asap::cache::CountingBloom;
 use asap::mc::RecoveryTable;
+use asap::model::oracle::{self, CrashReport, Violation, ViolationRule};
 use asap::model::DepGraph;
-use asap::pm::{NvmImage, PmAllocator, PmSpace};
+use asap::pm::{NvmImage, PmAllocator, PmSpace, WriteJournal, WriteSeq};
 use asap::sim::{
     Cycle, DetRng, EpochId, EventQueue, LineAddr, LineIdx, LineTable, LogHistogram, ThreadId,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 const CASES: u64 = 64;
 
@@ -453,10 +455,32 @@ impl MapDepGraph {
         }
         seen
     }
+
+    /// Every cycle takes a cross edge, whose dependent is registered, so
+    /// the graph is acyclic iff no registered epoch reaches itself.
+    fn is_acyclic(&self) -> bool {
+        !self
+            .created
+            .keys()
+            .any(|&e| self.transitive_deps(e).contains(&e))
+    }
+
+    /// Each thread's slots `0..=max registered ts`, thread-major.
+    fn lane_slots(&self) -> Vec<EpochId> {
+        let mut top: BTreeMap<usize, u64> = BTreeMap::new();
+        for e in self.created.keys() {
+            let t = top.entry(e.thread.0).or_insert(0);
+            *t = (*t).max(e.ts);
+        }
+        top.iter()
+            .flat_map(|(&t, &max)| (0..=max).map(move |ts| EpochId::new(ThreadId(t), ts)))
+            .collect()
+    }
 }
 
 #[test]
 fn dense_dep_graph_matches_map_model() {
+    let (mut acyclic_cases, mut cyclic_cases) = (0, 0);
     for case in 0..CASES {
         let mut rng = case_rng(11, case);
         let mut dense = DepGraph::new();
@@ -531,12 +555,265 @@ fn dense_dep_graph_matches_map_model() {
                     model.direct_deps(e),
                     "case {case} {e:?}"
                 );
-                assert_eq!(
-                    dense.transitive_deps(e),
-                    model.transitive_deps(e),
-                    "case {case} {e:?}"
-                );
             }
         }
+
+        // Kahn over the dense lanes: `Some` exactly when the model is
+        // acyclic, and then a permutation of the lane slots (gap slots
+        // included) that puts every dependency before its dependent.
+        match dense.topological_order() {
+            Some(order) => {
+                acyclic_cases += 1;
+                assert!(model.is_acyclic(), "case {case}: order despite a cycle");
+                let mut sorted = order.clone();
+                sorted.sort();
+                assert_eq!(sorted, model.lane_slots(), "case {case}: a permutation");
+                let pos: HashMap<EpochId, usize> =
+                    order.iter().enumerate().map(|(i, &e)| (e, i)).collect();
+                for &e in &order {
+                    for d in model.direct_deps(e) {
+                        assert!(pos[&d] < pos[&e], "case {case}: edge {d} -> {e}");
+                    }
+                }
+            }
+            None => {
+                cyclic_cases += 1;
+                assert!(!model.is_acyclic(), "case {case}: no order for a DAG");
+            }
+        }
+    }
+    assert!(
+        acyclic_cases > 0 && cyclic_cases > 0,
+        "both outcomes covered"
+    );
+}
+
+// ---- crash oracle vs the quadratic reference ----
+
+/// A quadratic reference oracle: one `transitive_deps` closure per
+/// visible and per committed epoch, ordered maps throughout.
+/// `oracle::check` must produce an equal report, violation order
+/// included.
+fn reference_check(journal: &WriteJournal, g: &MapDepGraph, nvm: &NvmImage) -> CrashReport {
+    let mut report = CrashReport {
+        epochs_committed: g.committed.len(),
+        ..CrashReport::default()
+    };
+    if !g.is_acyclic() {
+        report.violations.push(Violation {
+            rule: ViolationRule::DepCycle,
+            message: "epoch dependency graph contains a cycle (Lemma 0.1 violated)".to_string(),
+        });
+    }
+
+    let mut epoch_writes: BTreeMap<EpochId, Vec<(LineAddr, u64)>> = BTreeMap::new();
+    for e in journal.entries() {
+        let Some(epoch) = e.epoch else { continue };
+        let writes = epoch_writes.entry(epoch).or_default();
+        match writes.iter_mut().find(|(l, _)| *l == e.line) {
+            Some((_, s)) => *s = (*s).max(e.seq.0),
+            None => writes.push((e.line, e.seq.0)),
+        }
+    }
+
+    let mut visible: BTreeSet<EpochId> = BTreeSet::new();
+    for (&line, rec) in nvm.iter() {
+        report.lines_checked += 1;
+        let Some(seq) = rec.seq else {
+            if !nvm.is_preinit(line) && rec.data.iter().any(|&b| b != 0) {
+                report.violations.push(Violation {
+                    rule: ViolationRule::UntaggedNonZero,
+                    message: format!("line {line}: untagged recovered line is non-zero"),
+                });
+            }
+            continue;
+        };
+        let Some(entry) = journal.get(WriteSeq(seq)) else {
+            report.violations.push(Violation {
+                rule: ViolationRule::JournalIntegrity,
+                message: format!("line {line}: owner seq {seq} not in journal"),
+            });
+            continue;
+        };
+        if entry.line != line {
+            report.violations.push(Violation {
+                rule: ViolationRule::JournalIntegrity,
+                message: format!(
+                    "line {line}: owner seq {seq} journaled for different line {}",
+                    entry.line
+                ),
+            });
+            continue;
+        }
+        if entry.data != rec.data {
+            report.violations.push(Violation {
+                rule: ViolationRule::TornValue,
+                message: format!(
+                    "line {line}: recovered bytes differ from journaled write seq {seq} \
+                     (Fig. 5-style lost update?)"
+                ),
+            });
+        }
+        visible.extend(rec.epoch);
+    }
+    report.epochs_visible = visible.len();
+
+    let mut obligated: BTreeSet<EpochId> = BTreeSet::new();
+    for &v in &visible {
+        obligated.extend(g.transitive_deps(v));
+    }
+    for &c in g.committed.keys() {
+        obligated.insert(c);
+        obligated.extend(g.transitive_deps(c));
+    }
+    for e in obligated {
+        let Some(writes) = epoch_writes.get(&e) else {
+            continue;
+        };
+        for &(line, max_seq) in writes {
+            let rec = nvm.line(line);
+            if rec.seq.is_some_and(|s| s >= max_seq) {
+                continue;
+            }
+            let (rule, why) = if g.committed.contains_key(&e) {
+                (
+                    ViolationRule::CommittedWriteLost,
+                    "committed epoch lost a write (Lemma 1.1 violated)",
+                )
+            } else {
+                (
+                    ViolationRule::OrderingViolated,
+                    "dependency of a visible epoch lost a write (ordering violated)",
+                )
+            };
+            report.violations.push(Violation {
+                rule,
+                message: format!(
+                    "epoch {e}: write seq {max_seq} to {line} did not survive \
+                     (recovered owner seq {:?}): {why}",
+                    rec.seq
+                ),
+            });
+        }
+    }
+    report
+}
+
+/// `oracle::check` equals the quadratic reference on random crash
+/// states: protocol-shaped and arbitrary graphs (cycles, self-loops,
+/// gap slots, journal epochs the graph never registered), journals with
+/// unexecuted entries, and images mixing current, stale, lost, torn,
+/// dangling, misattributed and untagged lines.
+#[test]
+fn oracle_matches_quadratic_reference() {
+    let mut rules: BTreeMap<ViolationRule, usize> = BTreeMap::new();
+    let mut consistent = 0;
+    for case in 0..CASES * 4 {
+        let mut rng = case_rng(16, case);
+        let threads = rng.index(4) + 1;
+        let epoch = |rng: &mut DetRng| EpochId::new(ThreadId(rng.index(threads)), rng.below(10));
+
+        // Graph: the same ops on the dense graph and the map model.
+        let mut dense = DepGraph::new();
+        let mut model = MapDepGraph::default();
+        let protocol = rng.chance(0.5);
+        for _ in 0..rng.index(40) {
+            let e = epoch(&mut rng);
+            match rng.index(4) {
+                0 => {
+                    dense.ensure(e);
+                    model.ensure(e);
+                }
+                1 | 2 => {
+                    let mut src = epoch(&mut rng);
+                    if protocol {
+                        // Sources are older epochs of other threads.
+                        if src.thread == e.thread || src.ts >= e.ts {
+                            continue;
+                        }
+                    } else if rng.chance(0.1) {
+                        src = e; // self-loop
+                    }
+                    dense.add_cross_dep(e, src);
+                    model.add_cross_dep(e, src);
+                }
+                _ => {
+                    dense.mark_committed(e);
+                    model.mark_committed(e);
+                }
+            }
+        }
+
+        // Journal over a small line universe; some entries never execute.
+        let universe = rng.below(12) + 1;
+        let mut journal = WriteJournal::enabled();
+        for _ in 0..rng.index(48) {
+            let line = LineAddr::containing(rng.below(universe) * 64);
+            let mut data = [0u8; 64];
+            rng.fill_bytes(&mut data);
+            let seq = journal.record(line, data);
+            if rng.chance(0.85) {
+                journal.assign_epoch(seq, epoch(&mut rng));
+            }
+        }
+        let entries = journal.entries().to_vec();
+
+        // Image: per line, one of the recovery outcomes.
+        let mut nvm = NvmImage::new();
+        for idx in 0..universe {
+            let line = LineAddr::containing(idx * 64);
+            let writes: Vec<_> = entries.iter().filter(|e| e.line == line).collect();
+            let pick = |rng: &mut DetRng| writes[rng.index(writes.len())];
+            match rng.index(10) {
+                // Current (last journaled) or stale (any earlier) owner.
+                0..=3 if !writes.is_empty() => {
+                    let w = if rng.chance(0.6) {
+                        writes[writes.len() - 1]
+                    } else {
+                        pick(&mut rng)
+                    };
+                    let tag = if rng.chance(0.9) {
+                        w.epoch
+                    } else {
+                        Some(epoch(&mut rng))
+                    };
+                    nvm.persist(line, w.data, Some(w.seq.0), tag);
+                }
+                4 if !writes.is_empty() => {
+                    let w = pick(&mut rng);
+                    let mut torn = w.data;
+                    torn[rng.index(64)] ^= 0xff;
+                    nvm.persist(line, torn, Some(w.seq.0), w.epoch);
+                }
+                5 => {
+                    let dangling = entries.len() as u64 + rng.below(4);
+                    nvm.persist(line, [1; 64], Some(dangling), Some(epoch(&mut rng)));
+                }
+                6 if !entries.is_empty() => {
+                    let w = &entries[rng.index(entries.len())];
+                    nvm.persist(line, w.data, Some(w.seq.0), w.epoch);
+                }
+                7 => {
+                    let fill = rng.below(2) as u8;
+                    nvm.persist(line, [fill; 64], None, None);
+                }
+                8 => nvm.preinit(line, [3; 64]),
+                _ => {} // lost: never reached the media
+            }
+        }
+
+        let got = oracle::check(&journal, &dense, &nvm);
+        assert_eq!(got, reference_check(&journal, &model, &nvm), "case {case}");
+        consistent += usize::from(got.is_consistent());
+        for v in &got.violations {
+            *rules.entry(v.rule).or_default() += 1;
+        }
+    }
+    assert!(consistent > 0, "some cases must be consistent");
+    for rule in ViolationRule::ALL {
+        assert!(
+            rules.get(&rule).is_some_and(|&n| n > 0),
+            "{rule} never fired: {rules:?}"
+        );
     }
 }
