@@ -419,20 +419,17 @@ pub fn verify_chunk(
     let mut out = ChunkResult::default();
     for (i, &c) in chunk.points.iter().enumerate() {
         sim.run_for(Cycle(c));
-        let report = sim.crash_check_now().expect("journal enabled by build_sim");
+        let (report, img) = sim.crash_check_now().expect("journal enabled by build_sim");
         out.checked += 1;
         out.undo_max = out.undo_max.max(report.undo_records_applied);
         record_violations(&mut out, c, &report);
         if let Some(&e) = chunk.ends.get(i) {
             // Equivalence audit: the interval's last cycle must recover
             // identically to its first.
-            let (img, _) = sim.recovered_preview().expect("journal enabled");
-            let start_digest = img.content_digest();
             sim.run_for(Cycle(e));
-            let end_report = sim.crash_check_now().expect("journal enabled");
-            let (end_img, _) = sim.recovered_preview().expect("journal enabled");
+            let (end_report, end_img) = sim.crash_check_now().expect("journal enabled");
             out.verify_checked += 1;
-            if end_report != report || end_img.content_digest() != start_digest {
+            if end_report != report || end_img.content_digest() != img.content_digest() {
                 out.verify_mismatches += 1;
             }
         }

@@ -32,14 +32,10 @@ impl PersistencyModel for EadrModel {
         eng.battery_fence(t);
     }
 
-    fn on_crash(&mut self, _eng: &mut Engine) -> bool {
+    fn on_crash_preview(&self, _eng: &Engine, _nvm: &mut NvmImage) -> bool {
         // The battery flushes the entire hierarchy, so the recovered
         // state equals the functional image — trivially consistent.
         // Nothing to verify against the media image.
-        true
-    }
-
-    fn on_crash_preview(&self, _eng: &Engine, _nvm: &mut NvmImage) -> bool {
         true
     }
 
@@ -100,27 +96,11 @@ impl PersistencyModel for BbbModel {
         eng.schedule_flush(tid);
     }
 
-    fn on_crash(&mut self, eng: &mut Engine) -> bool {
-        // The battery drains every persist buffer to NVM before power
-        // is lost — including entries whose flush was in flight. With
-        // the buffers drained, everything executed is durable; the
-        // normal drain + oracle still runs.
-        for t in 0..eng.cores.len() {
-            let entries: Vec<_> = eng.cores[t]
-                .pb
-                .iter()
-                .map(|e| (e.line, *e.data, e.seq, e.epoch))
-                .collect();
-            for (line, data, seq, epoch) in entries {
-                eng.nvm.persist(line, data, Some(seq), Some(epoch));
-            }
-        }
-        false
-    }
-
     fn on_crash_preview(&self, eng: &Engine, nvm: &mut NvmImage) -> bool {
-        // Same drain as `on_crash`, applied to the preview clone in the
-        // same per-core, buffer order.
+        // The battery drains every persist buffer to NVM before power
+        // is lost — including entries whose flush was in flight — per
+        // core, in buffer order. With the buffers drained, everything
+        // executed is durable; the normal drain + oracle still runs.
         for c in &eng.cores {
             for e in c.pb.iter() {
                 nvm.persist(e.line, *e.data, Some(e.seq), Some(e.epoch));

@@ -140,7 +140,6 @@ pub(super) struct Engine {
     /// LLC evictions of a filtered line must wait for the retry.
     pub nack_filters: Vec<CountingBloom>,
     pub events_processed: u64,
-    pub crashed: bool,
     /// How many cores have finished (mirrors the per-core `done` flags):
     /// the run loop asks "all done?" once per event, and comparing one
     /// counter beats touching every core's (large) state block.
@@ -251,7 +250,6 @@ impl Engine {
             release_map: Vec::new(),
             nack_filters,
             events_processed: 0,
-            crashed: false,
             done_count: 0,
             // `ASAP_TRACE=0` / `""` / `off` must stay silent; only truthy
             // values enable the default text sink.

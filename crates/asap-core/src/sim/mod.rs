@@ -376,32 +376,22 @@ impl Sim {
     /// (model hook), ADR drains the WPQs (already reflected in the NVM
     /// image) and the undo records write back (§V-E), then the recovered
     /// image is checked against the write journal and dependency DAG
-    /// (§VI).
+    /// (§VI). The recovered image ([`Sim::crash_check_now`]'s) replaces
+    /// the live one. The recovery tables keep their records, so a second
+    /// call re-applies the same undo records to the recovered image,
+    /// which leaves it unchanged: a crash during recovery.
     ///
     /// # Errors
     ///
     /// [`OracleError::JournalDisabled`] if the simulator was built
     /// without [`SimBuilder::with_journal`].
     pub fn crash_and_check(&mut self) -> Result<CrashReport, OracleError> {
-        if !self.engine.journal.is_enabled() {
-            return Err(OracleError::JournalDisabled);
-        }
-        self.engine.crashed = true;
+        let (report, nvm) = self.crash_check_now()?;
         self.engine.trace(TraceRecord::Crash);
-        if self.model.on_crash(&mut self.engine) {
-            // The whole hierarchy is durable: trivially consistent.
-            self.engine.trace(TraceRecord::Recovery { undo_applied: 0 });
-            return Ok(CrashReport::default());
-        }
-        let mut undone = 0;
-        for mc in &mut self.engine.mcs {
-            undone += mc.crash(&mut self.engine.nvm);
-        }
         self.engine.trace(TraceRecord::Recovery {
-            undo_applied: undone as u64,
+            undo_applied: report.undo_records_applied as u64,
         });
-        let mut report = oracle::check(&self.engine.journal, &self.engine.deps, &self.engine.nvm);
-        report.undo_records_applied = undone;
+        self.engine.nvm = nvm;
         Ok(report)
     }
 
@@ -416,57 +406,38 @@ impl Sim {
         self.crash_and_check()
     }
 
-    /// Non-destructive crash check: like [`Sim::crash_and_check`] but
-    /// recovery runs on a *clone* of the NVM image (battery drains via
-    /// the model's `PersistencyModel::on_crash_preview` hook,
-    /// recovery-table undo via cloned tables), leaving the simulation
-    /// able to keep running. The crash-space explorer calls this at
-    /// every surviving crash point of a single re-run; parity with the
-    /// destructive path is pinned by `crash_check_now_parity` tests.
+    /// Non-destructive crash check: the oracle report and the recovered
+    /// NVM image a crash *now* would produce. Recovery runs on a *clone*
+    /// of the NVM image (battery drains via the model's
+    /// `PersistencyModel::on_crash_preview` hook, then every controller's
+    /// undo records), leaving the simulation able to keep running. This
+    /// is the one crash path: [`Sim::crash_and_check`] installs the image
+    /// it returns. The crash-space explorer calls it at every surviving
+    /// crash point of a single re-run; two cycles with equal
+    /// [`Sim::crash_state_key`] must yield equal reports and images.
     ///
     /// # Errors
     ///
     /// [`OracleError::JournalDisabled`] if the simulator was built
     /// without [`SimBuilder::with_journal`].
-    pub fn crash_check_now(&self) -> Result<CrashReport, OracleError> {
+    pub fn crash_check_now(&self) -> Result<(CrashReport, NvmImage), OracleError> {
         if !self.engine.journal.is_enabled() {
             return Err(OracleError::JournalDisabled);
         }
         let mut nvm = self.engine.nvm.clone();
         if self.model.on_crash_preview(&self.engine, &mut nvm) {
-            return Ok(CrashReport::default());
+            // The whole hierarchy is durable: trivially consistent.
+            return Ok((CrashReport::default(), nvm));
         }
-        let mut undone = 0;
-        for mc in &self.engine.mcs {
-            undone += mc.crash_preview(&mut nvm);
-        }
+        let undone = self
+            .engine
+            .mcs
+            .iter()
+            .map(|mc| mc.crash_preview(&mut nvm))
+            .sum();
         let mut report = oracle::check(&self.engine.journal, &self.engine.deps, &nvm);
         report.undo_records_applied = undone;
-        Ok(report)
-    }
-
-    /// The recovered NVM image a crash *now* would leave behind, plus
-    /// the number of undo records recovery would apply — computed
-    /// non-destructively like [`Sim::crash_check_now`]. This is the
-    /// explorer's ground truth for crash-state equivalence: two cycles
-    /// with equal [`Sim::crash_state_key`] must yield equal images.
-    ///
-    /// # Errors
-    ///
-    /// [`OracleError::JournalDisabled`] if the simulator was built
-    /// without [`SimBuilder::with_journal`].
-    pub fn recovered_preview(&self) -> Result<(NvmImage, usize), OracleError> {
-        if !self.engine.journal.is_enabled() {
-            return Err(OracleError::JournalDisabled);
-        }
-        let mut nvm = self.engine.nvm.clone();
-        let mut undone = 0;
-        if !self.model.on_crash_preview(&self.engine, &mut nvm) {
-            for mc in &self.engine.mcs {
-                undone += mc.crash_preview(&mut nvm);
-            }
-        }
-        Ok((nvm, undone))
+        Ok((report, nvm))
     }
 
     /// The crash-state digest at the current instant, under this model's

@@ -6,7 +6,10 @@
 //! persist buffers, epoch tables, memory controllers, the event queue —
 //! and calls a hook at each point where the designs diverge: what
 //! happens on a store, a fence, a flush ack/NACK, an epoch commit, a
-//! cross-thread dependency, a crash.
+//! cross-thread dependency, a crash. The crash hook only reads: it
+//! drains battery-backed state into a clone of the NVM image, so one
+//! non-destructive crash path serves both the one-shot oracle and the
+//! crash-space explorer.
 //!
 //! Dispatch is fixed at construction time ([`ModelDispatch::new`]): the
 //! engine never branches on [`ModelKind`], so adding a design means adding
@@ -137,19 +140,12 @@ pub(super) trait PersistencyModel {
         unreachable!("this model issues no synchronous flushes");
     }
 
-    /// Power failed. Apply battery-backed drains to the NVM image.
-    /// Return `true` to skip the recovery oracle entirely (the whole
-    /// hierarchy is durable, so recovery is trivially consistent).
-    fn on_crash(&mut self, _eng: &mut Engine) -> bool {
-        false
-    }
-
-    /// Non-destructive twin of [`PersistencyModel::on_crash`]: apply the
-    /// same battery-backed drains to `nvm` (a clone of the live image)
-    /// without mutating engine or model state, and return the same
-    /// skip-oracle verdict. Must stay byte-for-byte consistent with
-    /// `on_crash` — `Sim::crash_check_now` is parity-tested against
-    /// `Sim::crash_and_check` on every model.
+    /// Power failed. Apply battery-backed drains to `nvm`, a clone of
+    /// the live image, without mutating engine or model state. Return
+    /// `true` to skip the recovery oracle entirely (the whole hierarchy
+    /// is durable, so recovery is trivially consistent). This is the
+    /// only crash hook: `Sim::crash_check_now` recovers through it and
+    /// `Sim::crash_and_check` installs the image it leaves.
     fn on_crash_preview(&self, _eng: &Engine, _nvm: &mut NvmImage) -> bool {
         false
     }
@@ -305,11 +301,6 @@ impl PersistencyModel for ModelDispatch {
     #[inline]
     fn on_sync_flush_reply(&mut self, eng: &mut Engine, tid: usize) {
         each_model!(self, m => m.on_sync_flush_reply(eng, tid))
-    }
-
-    #[inline]
-    fn on_crash(&mut self, eng: &mut Engine) -> bool {
-        each_model!(self, m => m.on_crash(eng))
     }
 
     #[inline]

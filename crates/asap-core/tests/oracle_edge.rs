@@ -63,10 +63,6 @@ fn crash_without_journal_is_a_typed_error() {
         s.crash_check_now().expect_err("journal disabled"),
         OracleError::JournalDisabled
     );
-    assert_eq!(
-        s.recovered_preview().expect_err("journal disabled"),
-        OracleError::JournalDisabled
-    );
 }
 
 #[test]
@@ -95,16 +91,34 @@ fn crash_after_completion_sees_everything_durable() {
     assert!(report.epochs_visible <= report.epochs_committed);
 }
 
+/// A cycle at which [`sim`]'s ASAP run holds live undo records.
+const MID_RUN_UNDO: u64 = 200;
+
 #[test]
 fn repeated_crash_checks_are_stable() {
-    let mut s = sim(true);
-    s.run_to_completion();
-    let first = s.crash_and_check().expect("journal enabled");
-    let second = s.crash_and_check().expect("journal enabled");
-    assert!(first.is_consistent() && second.is_consistent());
-    assert_eq!(first.epochs_visible, second.epochs_visible);
-    assert_eq!(first.epochs_committed, second.epochs_committed);
-    assert_eq!(first.lines_checked, second.lines_checked);
+    // The recovery tables keep their undo records across a crash, so a
+    // second crash re-applies them to the recovered image: a crash
+    // during recovery. That must change neither the image nor the
+    // report. After completion every undo record is cleaned; mid-run
+    // under ASAP some are still live.
+    for (at, live_undo) in [(None, false), (Some(Cycle(MID_RUN_UNDO)), true)] {
+        let mut s = sim(true);
+        match at {
+            Some(c) => s.run_for(c),
+            None => s.run_to_completion(),
+        };
+        let first = s.crash_and_check().expect("journal enabled");
+        let recovered = s.nvm().content_digest();
+        let second = s.crash_and_check().expect("journal enabled");
+        assert!(first.is_consistent(), "{at:?}: {:?}", first.violations);
+        assert_eq!(first, second, "{at:?}: a repeated crash reports the same");
+        assert_eq!(s.nvm().content_digest(), recovered, "{at:?}");
+        assert_eq!(
+            first.undo_records_applied > 0,
+            live_undo,
+            "{at:?}: {first:?}"
+        );
+    }
 }
 
 #[test]
@@ -127,21 +141,28 @@ fn crash_check_now_matches_crash_at_for_every_model() {
                     .with_journal()
                     .build()
             };
-            let destructive = build().crash_at(Cycle(cycle)).expect("journal enabled");
+            let mut crashed = build();
+            let destructive = crashed.crash_at(Cycle(cycle)).expect("journal enabled");
             let mut probe = build();
             probe.run_for(Cycle(cycle));
-            let preview = probe.crash_check_now().expect("journal enabled");
+            let (preview, image) = probe.crash_check_now().expect("journal enabled");
             assert_eq!(
                 preview, destructive,
                 "{model:?} at cycle {cycle}: preview and crash_at disagree"
             );
+            assert_eq!(
+                image.content_digest(),
+                crashed.nvm().content_digest(),
+                "{model:?} at cycle {cycle}: crash_at installed another image"
+            );
             // The probe is non-destructive: checking again and then
             // running further must still work and stay consistent.
-            assert_eq!(probe.crash_check_now().expect("journal enabled"), preview);
+            assert_eq!(probe.crash_check_now().expect("journal enabled").0, preview);
             probe.run_to_completion();
             assert!(probe
                 .crash_check_now()
                 .expect("journal enabled")
+                .0
                 .is_consistent());
         }
     }

@@ -9,7 +9,7 @@
 //! status 2 — while an *absent* flag still falls back to its default.
 //! A flag is missing its value when nothing follows it or another
 //! `--flag` does, for string flags as for numeric ones:
-//! `--cache-dir --resume` is an error, not a directory named `--resume`.
+//! `--cache-dir --full` is an error, not a directory named `--full`.
 
 use asap_sim_core::SimConfig;
 use std::fmt::Display;
@@ -106,44 +106,6 @@ pub fn threads_config(args: &[String], default: usize) -> SimConfig {
         .unwrap_or_else(|e| usage_error(&format!("invalid value '{threads}' for --threads: {e}")))
 }
 
-/// One slice of a sweep for cross-machine sharding: shard `index` of
-/// `of` owns the legs whose index is `index (mod of)`. Parsed from the
-/// CLI as `i/n` (e.g. `--shard 0/2`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// This shard's index, `0..of`.
-    pub index: usize,
-    /// Total shard count.
-    pub of: usize,
-}
-
-impl Shard {
-    /// Does this shard own sweep leg `leg`?
-    pub fn owns(&self, leg: usize) -> bool {
-        leg % self.of == self.index
-    }
-}
-
-impl Display for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.index, self.of)
-    }
-}
-
-impl FromStr for Shard {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Shard, String> {
-        let err = || format!("expected i/n with i < n (e.g. 0/2), got '{s}'");
-        let (i, n) = s.split_once('/').ok_or_else(err)?;
-        let index: usize = i.parse().map_err(|_| err())?;
-        let of: usize = n.parse().map_err(|_| err())?;
-        if of == 0 || index >= of {
-            return Err(err());
-        }
-        Ok(Shard { index, of })
-    }
-}
-
 /// The sweep-wide flag set shared by every harness binary,
 /// replacing the per-binary copies of `--threads`/`--workers` parsing:
 ///
@@ -153,14 +115,11 @@ impl FromStr for Shard {
 /// | `--seed N` | RNG seed override |
 /// | `--workers N` / `--threads N` | pin the worker pool |
 /// | `--progress` | stderr `N/M jobs, ETA …` line |
-/// | `--cache-dir DIR` | digest-keyed outcome cache + resume journal |
-/// | `--resume` | skip legs already journaled/cached in `--cache-dir` |
-/// | `--shard i/n` | run only legs `i (mod n)` (cross-machine split) |
+/// | `--cache-dir DIR` | digest-keyed outcome cache (a rerun resumes) |
 ///
 /// Malformed values exit with status 2 ([`parse_arg`]'s contract);
-/// `--resume` without `--cache-dir` is an error; flags not in the table
-/// are left to the binary. [`SweepArgs::apply`] installs the
-/// process-global settings (worker override, progress);
+/// flags not in the table are left to the binary. [`SweepArgs::apply`]
+/// installs the process-global settings (worker override, progress);
 /// [`SweepArgs::init`] is the one-call form the binaries use.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepArgs {
@@ -174,30 +133,20 @@ pub struct SweepArgs {
     pub progress: bool,
     /// Outcome-cache directory (`--cache-dir`).
     pub cache_dir: Option<String>,
-    /// Resume from the cache dir's journal (`--resume`).
-    pub resume: bool,
-    /// Shard of the sweep to run (`--shard i/n`).
-    pub shard: Option<Shard>,
 }
 
 impl SweepArgs {
-    /// Parse the shared flags from `argv` (strict: malformed values and
-    /// inconsistent combinations exit with status 2). Pure — process
-    /// globals are only touched by [`SweepArgs::apply`].
+    /// Parse the shared flags from `argv` (strict: malformed values exit
+    /// with status 2). Pure — process globals are only touched by
+    /// [`SweepArgs::apply`].
     pub fn parse(argv: &[String]) -> SweepArgs {
-        let sa = SweepArgs {
+        SweepArgs {
             full: has_flag(argv, "--full"),
             seed: parse_arg(argv, "--seed"),
             workers: parse_arg(argv, "--workers").or_else(|| parse_arg(argv, "--threads")),
             progress: has_flag(argv, "--progress"),
             cache_dir: arg_value(argv, "--cache-dir"),
-            resume: has_flag(argv, "--resume"),
-            shard: parse_arg(argv, "--shard"),
-        };
-        if sa.resume && sa.cache_dir.is_none() {
-            usage_error("--resume requires --cache-dir (the journal lives there)");
         }
-        sa
     }
 
     /// Install the process-global settings: worker-pool pin, progress
@@ -243,24 +192,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_parsing() {
-        assert_eq!("0/2".parse(), Ok(Shard { index: 0, of: 2 }));
-        assert_eq!("3/4".parse(), Ok(Shard { index: 3, of: 4 }));
-        assert_eq!(Shard { index: 1, of: 3 }.to_string(), "1/3");
-        for bad in ["", "2", "2/2", "5/2", "a/b", "1/0", "-1/2", "1/2/3"] {
-            assert!(bad.parse::<Shard>().is_err(), "{bad} must not parse");
-        }
-        let s = Shard { index: 1, of: 3 };
-        let owned: Vec<usize> = (0..9).filter(|&i| s.owns(i)).collect();
-        assert_eq!(owned, vec![1, 4, 7]);
-    }
-
-    #[test]
     fn sweep_args_defaults_and_flags() {
         assert_eq!(SweepArgs::parse(&argv(&["prog"])), SweepArgs::default());
 
         // Flags outside the table are ignored, values included: the
-        // benchmark's sweep-pass child still passes a retired one.
+        // benchmark's sweep-pass child still passes a flag the harness
+        // dropped, and so may scripts that pass `--resume` or `--shard`.
         let sa = SweepArgs::parse(&argv(&[
             "prog",
             "--full",
@@ -277,11 +214,10 @@ mod tests {
             "1/2",
             "--progress",
         ]));
-        assert!(sa.full && sa.resume && sa.progress);
+        assert!(sa.full && sa.progress);
         assert_eq!(sa.seed, Some(9));
         assert_eq!(sa.workers, Some(2), "--threads is an alias");
         assert_eq!(sa.cache_dir.as_deref(), Some("/tmp/c"));
-        assert_eq!(sa.shard, Some(Shard { index: 1, of: 2 }));
         assert_eq!(sa.scale().seed, 9);
         assert_eq!(
             sa.scale().ops,

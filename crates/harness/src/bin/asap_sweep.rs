@@ -1,31 +1,28 @@
 //! `asap_sweep`: regenerates any figure or table of the evaluation, or
-//! the open-loop traffic sweep, through the incremental, resumable sweep
-//! executor.
+//! the open-loop traffic sweep, through the incremental sweep executor.
 //!
 //! ```text
 //! asap_sweep <fig02|fig03|fig08|fig09|fig10|fig11|fig12|fig13|ablations|tab05>
 //!            [--full] [--seed N] [--ops N] [--workers N] [--cache-dir DIR]
-//!            [--resume] [--shard i/n] [--progress] [--csv]
-//!            [--cache-stats PATH]
+//!            [--progress] [--csv] [--cache-stats PATH]
 //! asap_sweep traffic [--full] [--seed N] [--app memcached|nstore|echo]
 //!            [--model baseline|hops|asap|eadr|bbb] [--flavor ep|rp]
 //!            [--arrival fixed|poisson|bursty|diurnal] [--gap CYCLES]
 //!            [--requests N] [--update-fraction F] [--zipf THETA] [--json]
 //!            [--emit-trace PATH] [--replay PATH] [--workers N]
-//!            [--cache-dir DIR] [--resume] [--shard i/n] [--progress]
-//!            [--csv] [--cache-stats PATH]
+//!            [--cache-dir DIR] [--progress] [--csv] [--cache-stats PATH]
 //! ```
 //!
 //! A figure name selects an entry of the
 //! [`asap_harness::experiments::FIGURES`] registry; `--ops N` overrides
 //! its ops per thread. Every sweep runs through the executor layer
 //! ([`asap_harness::exec`]): with `--cache-dir`, completed legs persist
-//! to a digest-keyed outcome cache and re-runs only simulate changed
-//! legs (figures that share legs share cache entries); `--resume`
-//! continues a killed sweep; `--shard i/n` runs one machine's slice.
-//! However the legs were executed — pooled, cached, resumed — the
-//! tables on stdout are byte-identical, because results assemble in
-//! input order and cached outcomes decode exactly.
+//! to a digest-keyed outcome cache and re-runs only simulate missing or
+//! changed legs (figures that share legs share cache entries), so a
+//! plain rerun continues a killed sweep. However the legs were executed
+//! — pooled or cached — the tables on stdout are byte-identical,
+//! because results assemble in input order and cached outcomes decode
+//! exactly.
 //!
 //! `traffic` fans `3 apps × 5 models × 2 offered loads` (≥ 1 M
 //! requests) at quick scale and prints p50/p95/p99/p99.9 of the total
@@ -42,14 +39,11 @@
 //!
 //! The sweep report (leg counts, cache hits, wall time) goes to stderr;
 //! `--cache-stats PATH` additionally writes it as JSON for CI gates.
-//! Under `--shard` the tables are suppressed (legs are missing by
-//! design): run every shard into a shared `--cache-dir`, then assemble
-//! with a final `--resume` run. Malformed flag values are hard errors
-//! (exit status 2), never silent fallbacks — see
-//! [`asap_harness::args`].
+//! Malformed flag values are hard errors (exit status 2), never silent
+//! fallbacks — see [`asap_harness::args`].
 
 use asap_harness::args::{self, parse_arg, parse_label, usage_error, SweepArgs};
-use asap_harness::exec::{complete_outcomes, sweep_figure, sweep_traffic, SweepReport};
+use asap_harness::exec::{sweep_figure, sweep_traffic, SweepReport};
 use asap_harness::experiments::{figure, FIGURES};
 use asap_harness::pool;
 use asap_harness::traffic::{
@@ -71,15 +65,14 @@ fn usage() -> ! {
     let figures: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
     println!(
         "usage: asap_sweep <{}> [--full] [--seed N] [--ops N] \
-         [--workers N] [--cache-dir DIR] [--resume] [--shard i/n] \
-         [--progress] [--csv] [--cache-stats PATH]\n       \
+         [--workers N] [--cache-dir DIR] [--progress] [--csv] \
+         [--cache-stats PATH]\n       \
          asap_sweep traffic [--full] [--seed N] [--app memcached|nstore|echo] \
          [--model baseline|hops|asap|eadr|bbb] [--flavor ep|rp] \
          [--arrival fixed|poisson|bursty|diurnal] [--gap CYCLES] \
          [--requests N] [--update-fraction F] [--zipf THETA] [--json] \
          [--emit-trace PATH] [--replay PATH] [--workers N] \
-         [--cache-dir DIR] [--resume] [--shard i/n] \
-         [--progress] [--csv] [--cache-stats PATH]",
+         [--cache-dir DIR] [--progress] [--csv] [--cache-stats PATH]",
         figures.join("|")
     );
     std::process::exit(0);
@@ -91,12 +84,6 @@ fn finish(report: &SweepReport, cache_stats: Option<&str>, t0: std::time::Instan
         if let Err(e) = std::fs::write(path, report.to_json()) {
             usage_error(&format!("cannot write --cache-stats {path}: {e}"));
         }
-    }
-    if !report.complete {
-        eprintln!(
-            "# partial sweep (sharded): table suppressed; run the other shards \
-             into this --cache-dir, then assemble with --resume"
-        );
     }
     asap_harness::cli_footer(t0);
 }
@@ -207,11 +194,9 @@ fn traffic(argv: &[String], sa: &SweepArgs) -> Option<SweepReport> {
         return None;
     }
     let specs = scale.specs();
-    let (results, report) = sweep_traffic("traffic", &specs, sa);
-    if let Some(outs) = complete_outcomes(results) {
-        asap_harness::cli_emit(&table_from_runs(&specs, &outs));
-        emit_json(argv, &specs, &outs);
-    }
+    let (outs, report) = sweep_traffic("traffic", &specs, sa);
+    asap_harness::cli_emit(&table_from_runs(&specs, &outs));
+    emit_json(argv, &specs, &outs);
     Some(report)
 }
 
@@ -234,7 +219,7 @@ fn main() {
             scale.ops = ops;
         }
         let (tables, report) = sweep_figure(fig, scale, &sa);
-        for t in tables.iter().flatten() {
+        for t in &tables {
             asap_harness::cli_emit(t);
         }
         report

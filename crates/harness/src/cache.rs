@@ -430,11 +430,6 @@ impl OutcomeCache {
         })
     }
 
-    /// The directory backing this cache.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path of `key`'s entry file.
     pub fn entry_path(&self, key: u64) -> PathBuf {
         self.dir.join(format!("{key:016x}.entry"))

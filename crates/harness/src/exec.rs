@@ -1,4 +1,4 @@
-//! The sweep executor: incremental and resumable.
+//! The sweep executor: incremental, and resumable through its cache.
 //!
 //! [`run_sweep`] is the one engine behind every sweep: each registry
 //! figure ([`sweep_figure`]), the traffic sweep ([`sweep_traffic`]) and
@@ -8,22 +8,17 @@
 //! 1. **probes** — with `--cache-dir`, loads every leg's entry from the
 //!    [`crate::cache::OutcomeCache`] and strict-decodes it (corrupted ⇒
 //!    miss ⇒ re-run);
-//! 2. **filters** — drops cached legs and, with `--shard i/n`, legs
-//!    owned by other machines;
-//! 3. **executes** — the surviving legs run on the in-process pool
-//!    ([`pool::par_map`]), each completion persisted to the cache and
-//!    appended to the journal *before* the sweep finishes — killing the
-//!    sweep loses at most in-flight legs;
-//! 4. **assembles** — results land in input order, so a table built
+//! 2. **executes** — the missing legs run on the in-process pool
+//!    ([`pool::par_map`]), each completion stored in the cache *before*
+//!    the sweep finishes;
+//! 3. **assembles** — results land in input order, so a table built
 //!    from them is byte-identical however the legs were executed:
-//!    serial, pooled, cached, resumed or sharded then assembled. That is
-//!    the `par_map` contract of the pool, extended across crash and
-//!    machine boundaries.
+//!    serial, pooled or cached. That is the `par_map` contract of the
+//!    pool, extended across process restarts.
 //!
-//! The journal (`<label>.journal` inside the cache dir) records one
-//! `done <idx> <digest>` line per completed leg. `--resume` replays it
-//! for reporting ("how much did the killed run finish?") — correctness
-//! never depends on it, because resume re-probes the cache itself.
+//! The outcome cache is the sweep's only record of a finished leg. A
+//! killed sweep loses only its in-flight legs: rerunning it into the
+//! same `--cache-dir` loads every stored leg and simulates the rest.
 
 use crate::args::SweepArgs;
 use crate::cache::{self, OutcomeCache};
@@ -33,17 +28,13 @@ use crate::report::Table;
 use crate::runner::{run_once, run_window, RunOutcome, RunSpec};
 use crate::traffic::{run_traffic, TrafficOutcome, TrafficSpec};
 use asap_sim_core::Cycle;
-use std::collections::HashSet;
-use std::io::Write;
-use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// What a sweep did, for stderr summaries and the CI cache-stats
 /// artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
-    /// Sweep label (also the journal file stem).
+    /// Sweep label: the figure name, `traffic` or `crash_explore`.
     pub label: String,
     /// Total legs in the sweep.
     pub legs: usize,
@@ -51,32 +42,18 @@ pub struct SweepReport {
     pub cached: usize,
     /// Legs simulated by this run.
     pub simulated: usize,
-    /// Legs skipped because another shard owns them.
-    pub shard_skipped: usize,
-    /// Cached legs that a previous (killed) run had journaled.
-    pub resumed: usize,
     /// Pool worker threads.
     pub workers: usize,
     /// Wall-clock of the whole sweep, milliseconds.
     pub wall_ms: f64,
-    /// Every leg has an outcome (false only under `--shard`).
-    pub complete: bool,
 }
 
 impl SweepReport {
     /// One-line stderr summary (the `(cached)` marker of reports).
     pub fn summary(&self) -> String {
         format!(
-            "# sweep {}: {} legs = {} cached + {} simulated + {} shard-skipped \
-             ({} resumed) in {:.1} ms on {} worker(s)",
-            self.label,
-            self.legs,
-            self.cached,
-            self.simulated,
-            self.shard_skipped,
-            self.resumed,
-            self.wall_ms,
-            self.workers,
+            "# sweep {}: {} legs = {} cached + {} simulated in {:.1} ms on {} worker(s)",
+            self.label, self.legs, self.cached, self.simulated, self.wall_ms, self.workers,
         )
     }
 
@@ -85,80 +62,16 @@ impl SweepReport {
         format!(
             concat!(
                 "{{\"sweep\":\"{}\",\"legs\":{},\"cached\":{},\"simulated\":{},",
-                "\"shard_skipped\":{},\"resumed\":{},\"workers\":{},",
-                "\"wall_ms\":{:.3},\"complete\":{}}}"
+                "\"workers\":{},\"wall_ms\":{:.3}}}"
             ),
-            self.label,
-            self.legs,
-            self.cached,
-            self.simulated,
-            self.shard_skipped,
-            self.resumed,
-            self.workers,
-            self.wall_ms,
-            self.complete,
+            self.label, self.legs, self.cached, self.simulated, self.workers, self.wall_ms,
         )
     }
 }
 
-/// Journal header for sweep `label`.
-fn journal_header(label: &str) -> String {
-    format!("# asap-sweep-journal v1 sweep={label}")
-}
-
-/// Parse a journal: the completed-leg digests of a previous run.
-/// `None` when missing or written by a different sweep; a torn final
-/// line (the kill happened mid-append) is tolerated and skipped.
-fn read_journal(path: &std::path::Path, label: &str) -> Option<HashSet<u64>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let mut lines = text.lines();
-    if lines.next()? != journal_header(label) {
-        return None;
-    }
-    let mut done = HashSet::new();
-    for line in lines {
-        let mut it = line.split_whitespace();
-        if it.next() != Some("done") {
-            continue;
-        }
-        let (Some(_idx), Some(digest), None) = (it.next(), it.next(), it.next()) else {
-            continue;
-        };
-        if let Ok(d) = u64::from_str_radix(digest, 16) {
-            done.insert(d);
-        }
-    }
-    Some(done)
-}
-
-/// Cache + journal sink of the pool's legs: persist the payload under
-/// the leg's digest, then append-and-flush the journal line, in that
-/// order — a journaled leg is always loadable on resume.
-struct Sink<'a> {
-    cache: Option<&'a OutcomeCache>,
-    journal: Option<Mutex<std::fs::File>>,
-    digests: &'a [u64],
-}
-
-impl Sink<'_> {
-    fn record(&self, idx: usize, payload: &str) {
-        let Some(cache) = self.cache else { return };
-        if let Err(e) = cache.store(self.digests[idx], payload) {
-            eprintln!("# warning: cache store failed for leg {idx}: {e}");
-            return;
-        }
-        if let Some(j) = &self.journal {
-            let mut f = j.lock().expect("journal lock");
-            let _ = writeln!(f, "done {idx} {:016x}", self.digests[idx]);
-            let _ = f.flush();
-        }
-    }
-}
-
-/// Run an `n`-leg sweep through the cache/resume/shard pipeline (see
-/// the module docs). Returns one outcome per leg in input order —
-/// `None` only for legs excluded by `--shard` — plus the report. An
-/// unusable `--cache-dir` terminates the process with a diagnostic.
+/// Run an `n`-leg sweep through the cache pipeline (see the module
+/// docs). Returns one outcome per leg in input order, plus the report.
+/// An unusable `--cache-dir` terminates the process with a diagnostic.
 pub fn run_sweep<O, FDig, FRun, FEnc, FDec>(
     label: &str,
     n: usize,
@@ -167,7 +80,7 @@ pub fn run_sweep<O, FDig, FRun, FEnc, FDec>(
     encode: FEnc,
     decode: FDec,
     sa: &SweepArgs,
-) -> (Vec<Option<O>>, SweepReport)
+) -> (Vec<O>, SweepReport)
 where
     O: Send,
     FDig: Fn(usize) -> u64,
@@ -183,62 +96,25 @@ where
             std::process::exit(2);
         })
     });
-    let journal_path: Option<PathBuf> = cache
-        .as_ref()
-        .map(|c| c.dir().join(format!("{label}.journal")));
-
-    // Resume bookkeeping: which digests did the previous run journal?
-    let journaled: HashSet<u64> = match (&journal_path, sa.resume) {
-        (Some(p), true) => read_journal(p, label).unwrap_or_default(),
-        _ => HashSet::new(),
-    };
 
     // Probe the cache for every leg.
-    let mut results: Vec<Option<O>> = (0..n).map(|_| None).collect();
-    let mut cached = 0usize;
-    let mut resumed = 0usize;
-    if let Some(c) = &cache {
-        for i in 0..n {
-            if let Some(o) = c.load(digests[i]).and_then(|p| decode(&p)) {
-                if journaled.contains(&digests[i]) {
-                    resumed += 1;
-                }
-                results[i] = Some(o);
-                cached += 1;
-            }
-        }
-    }
-
-    let todo: Vec<usize> = (0..n)
-        .filter(|&i| results[i].is_none())
-        .filter(|&i| sa.shard.is_none_or(|s| s.owns(i)))
+    let mut results: Vec<Option<O>> = digests
+        .iter()
+        .map(|&d| cache.as_ref()?.load(d).and_then(|p| decode(&p)))
         .collect();
-    let shard_skipped = n - cached - todo.len();
-
-    // (Re)open the journal: fresh runs rewrite it, resumed runs append
-    // (re-run legs are re-journaled; duplicate lines are harmless).
-    let journal = journal_path.as_ref().and_then(|p| {
-        let keep = sa.resume && read_journal(p, label).is_some();
-        let file = if keep {
-            std::fs::OpenOptions::new().append(true).open(p).ok()
-        } else {
-            let mut f = std::fs::File::create(p).ok()?;
-            writeln!(f, "{}", journal_header(label)).ok()?;
-            Some(f)
-        };
-        file.map(Mutex::new)
-    });
-    let sink = Sink {
-        cache: cache.as_ref(),
-        journal,
-        digests: &digests,
-    };
+    let todo: Vec<usize> = (0..n).filter(|&i| results[i].is_none()).collect();
 
     if !todo.is_empty() {
-        // The pool prints its own progress over `todo`.
+        // The pool prints its own progress over `todo`. Each leg is
+        // stored as it completes, so a killed sweep loses only the legs
+        // in flight.
         let outs = pool::par_map(&todo, |&i| {
             let o = run(i);
-            sink.record(i, &encode(&o));
+            if let Some(c) = &cache {
+                if let Err(e) = c.store(digests[i], &encode(&o)) {
+                    eprintln!("# warning: cache store failed for leg {i}: {e}");
+                }
+            }
             o
         });
         for (&i, o) in todo.iter().zip(outs) {
@@ -246,19 +122,19 @@ where
         }
     }
 
-    let complete = results.iter().all(|r| r.is_some());
     let report = SweepReport {
         label: label.to_string(),
         legs: n,
-        cached,
+        cached: n - todo.len(),
         simulated: todo.len(),
-        shard_skipped,
-        resumed,
         workers: pool::num_workers(),
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        complete,
     };
-    (results, report)
+    let outs = results
+        .into_iter()
+        .collect::<Option<Vec<O>>>()
+        .expect("every leg is cached or simulated");
+    (outs, report)
 }
 
 /// [`run_sweep`] over closed-loop [`RunSpec`] legs run to completion
@@ -269,7 +145,7 @@ fn sweep_runs(
     specs: &[RunSpec],
     window: Option<Cycle>,
     sa: &SweepArgs,
-) -> (Vec<Option<RunOutcome>>, SweepReport) {
+) -> (Vec<RunOutcome>, SweepReport) {
     let mode = window.map_or_else(|| "complete".to_string(), |w| format!("window:{}", w.0));
     run_sweep(
         label,
@@ -291,25 +167,21 @@ pub fn sweep_run_once(
     label: &str,
     specs: &[RunSpec],
     sa: &SweepArgs,
-) -> (Vec<Option<RunOutcome>>, SweepReport) {
+) -> (Vec<RunOutcome>, SweepReport) {
     sweep_runs(label, specs, None, sa)
 }
 
 /// Run registry figure `fig` at `scale` through [`run_sweep`], labelled
-/// by its name. Returns the figure's tables — `None` when `--shard`
-/// left legs to other machines — plus the sweep report.
+/// by its name. Returns the figure's tables plus the sweep report.
 pub fn sweep_figure(
     fig: &Figure,
     scale: ExperimentScale,
     sa: &SweepArgs,
-) -> (Option<Vec<Table>>, SweepReport) {
+) -> (Vec<Table>, SweepReport) {
     let specs = (fig.specs)(scale);
     let window = fig.windowed.then_some(scale.window);
-    let (results, report) = sweep_runs(fig.name, &specs, window, sa);
-    (
-        complete_outcomes(results).map(|outs| (fig.tables)(&outs)),
-        report,
-    )
+    let (outs, report) = sweep_runs(fig.name, &specs, window, sa);
+    ((fig.tables)(&outs), report)
 }
 
 /// [`run_sweep`] over open-loop [`TrafficSpec`] legs via
@@ -320,7 +192,7 @@ pub fn sweep_traffic(
     label: &str,
     specs: &[TrafficSpec],
     sa: &SweepArgs,
-) -> (Vec<Option<TrafficOutcome>>, SweepReport) {
+) -> (Vec<TrafficOutcome>, SweepReport) {
     run_sweep(
         label,
         specs.len(),
@@ -332,9 +204,10 @@ pub fn sweep_traffic(
     )
 }
 
-/// Unwrap a complete sweep's outcomes, or `None` if any leg is missing
-/// (a sharded run): the binary then prints the report summary instead
-/// of a partial table.
-pub fn complete_outcomes<O>(results: Vec<Option<O>>) -> Option<Vec<O>> {
-    results.into_iter().collect()
+/// `Some(outs)`: every sweep returns all of its legs. Kept only for the
+/// three `complete_outcomes(..).expect(..)` call sites of the benchmark
+/// crate (`perfledger/src/jobs.rs`), which is changed only together with
+/// the benchmark; no harness code calls it.
+pub fn complete_outcomes<O>(outs: Vec<O>) -> Option<Vec<O>> {
+    Some(outs)
 }

@@ -8,8 +8,8 @@
 //! (markdown to stdout, optionally CSV).
 //!
 //! Every sweep first builds a flat `Vec<RunSpec>` and then fans it out
-//! across the [`pool`] executor (all cores by default; `ASAP_THREADS`
-//! or `--threads N` to override), optionally behind the outcome cache.
+//! across the [`pool`] executor (all cores by default; `--workers N`
+//! to override), optionally behind the outcome cache.
 //! Each simulation is deterministic and results are collected in input
 //! order, so the emitted tables are byte-identical to a serial run —
 //! only the wall clock changes.

@@ -17,9 +17,8 @@
 //! Worker count resolution, in priority order:
 //! 1. an explicit [`par_map_with`] argument (tests pin 1/2/N),
 //! 2. a process-wide override set by [`set_worker_override`]
-//!    (the binaries' `--threads N` flag),
-//! 3. the `ASAP_THREADS` environment variable,
-//! 4. [`std::thread::available_parallelism`].
+//!    (the binaries' `--workers N` flag),
+//! 3. [`std::thread::available_parallelism`].
 //!
 //! With [`set_progress`] enabled (the binaries' `--progress` flag),
 //! sweeps print a throttled `N/M jobs, ETA …` line to stderr — stdout
@@ -37,7 +36,7 @@ static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static PROGRESS: AtomicBool = AtomicBool::new(false);
 
 /// Pin the worker count for every subsequent [`par_map`] in this
-/// process (the harness binaries wire `--threads N` here). `0` clears
+/// process (the harness binaries wire `--workers N` here). `0` clears
 /// the override.
 pub fn set_worker_override(n: usize) {
     WORKER_OVERRIDE.store(n, Ordering::Relaxed);
@@ -57,30 +56,22 @@ pub fn progress_enabled() -> bool {
 }
 
 /// Pure worker-count resolution: `override_` (a [`set_worker_override`]
-/// value, 0 = unset) wins, else a positive-integer `env` value
-/// (`ASAP_THREADS`), else `fallback` (available parallelism), floored
-/// at 1. Factored out of [`num_workers`] so the resolution order is
-/// testable without mutating process-global state.
-fn resolve_workers(override_: usize, env: Option<&str>, fallback: usize) -> usize {
+/// value, 0 = unset) wins, else `fallback` (available parallelism),
+/// floored at 1. Factored out of [`num_workers`] so the resolution
+/// order is testable without mutating process-global state.
+fn resolve_workers(override_: usize, fallback: usize) -> usize {
     if override_ > 0 {
-        return override_;
+        override_
+    } else {
+        fallback.max(1)
     }
-    if let Some(n) = env
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    fallback.max(1)
 }
 
-/// The worker count [`par_map`] will use: the
-/// [`set_worker_override`] value if set, else `ASAP_THREADS` if set to a
-/// positive integer, else [`std::thread::available_parallelism`].
+/// The worker count [`par_map`] will use: the [`set_worker_override`]
+/// value if set, else [`std::thread::available_parallelism`].
 pub fn num_workers() -> usize {
     resolve_workers(
         WORKER_OVERRIDE.load(Ordering::Relaxed),
-        std::env::var("ASAP_THREADS").ok().as_deref(),
         thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
@@ -228,18 +219,10 @@ mod tests {
         // Assert the resolution order through the pure function only:
         // the old version mutated the process-global WORKER_OVERRIDE,
         // racing sibling tests that call num_workers() concurrently.
-        assert_eq!(resolve_workers(3, Some("8"), 16), 3, "override wins");
-        assert_eq!(resolve_workers(0, Some("8"), 16), 8, "env next");
-        assert_eq!(resolve_workers(0, Some(" 8 "), 16), 8, "env trimmed");
-        assert_eq!(resolve_workers(0, Some("0"), 16), 16, "zero env ignored");
-        assert_eq!(
-            resolve_workers(0, Some("banana"), 16),
-            16,
-            "garbage env ignored"
-        );
-        assert_eq!(resolve_workers(0, None, 16), 16, "fallback last");
-        assert_eq!(resolve_workers(0, None, 0), 1, "floor of one");
-        // Read-only smoke check of the real environment path.
+        assert_eq!(resolve_workers(3, 16), 3, "override wins");
+        assert_eq!(resolve_workers(0, 16), 16, "fallback last");
+        assert_eq!(resolve_workers(0, 0), 1, "floor of one");
+        // Read-only smoke check of the real path.
         assert!(num_workers() >= 1);
     }
 

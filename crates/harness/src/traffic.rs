@@ -358,8 +358,7 @@ pub const TRAFFIC_HEADERS: [&str; 12] = [
 /// byte-identical at any worker count).
 pub fn traffic_table(scale: &TrafficScale) -> Table {
     let specs = scale.specs();
-    let (results, _) = crate::exec::sweep_traffic("traffic", &specs, &SweepArgs::default());
-    let outs = crate::exec::complete_outcomes(results).expect("an unsharded sweep is complete");
+    let (outs, _) = crate::exec::sweep_traffic("traffic", &specs, &SweepArgs::default());
     table_from_runs(&specs, &outs)
 }
 

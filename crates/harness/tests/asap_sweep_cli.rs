@@ -1,7 +1,7 @@
 //! End-to-end tests of the `asap_sweep` binary: the table must be
 //! byte-identical however the legs were executed — simulated, from a
-//! warm cache, sharded then assembled — and the flag contract must fail
-//! fast on bad usage.
+//! warm cache, or resumed from a partial cache — and the flag contract
+//! must fail fast on bad usage.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -43,8 +43,7 @@ fn warm_cache_rerun_hits_every_leg_and_matches_bytes() {
     let cold = sweep(&argv);
     assert!(cold.status.success(), "stderr: {}", stderr_of(&cold));
     let cold_stats = std::fs::read_to_string(&stats).unwrap();
-    assert!(cold_stats.contains("\"cached\":0"), "{cold_stats}");
-    assert!(cold_stats.contains("\"complete\":true"), "{cold_stats}");
+    assert!(cold_stats.contains("\"cached\":0,"), "{cold_stats}");
 
     let warm = sweep(&argv);
     assert!(warm.status.success(), "stderr: {}", stderr_of(&warm));
@@ -64,48 +63,38 @@ fn warm_cache_rerun_hits_every_leg_and_matches_bytes() {
 }
 
 #[test]
-fn shards_then_resume_assemble_the_reference_table() {
-    let reference = sweep(QUICK);
-    assert!(reference.status.success());
-
-    let dir = tmpdir("shard");
+fn deleted_entries_resume_into_the_reference_table() {
+    let dir = tmpdir("resume");
     let dir_s = dir.to_str().unwrap();
+    let mut argv = QUICK.to_vec();
+    argv.extend(["--cache-dir", dir_s]);
+    let cold = sweep(&argv);
+    assert!(cold.status.success(), "stderr: {}", stderr_of(&cold));
 
-    // First shard: half the legs are missing, so the table is suppressed.
-    let mut argv = QUICK.to_vec();
-    argv.extend(["--cache-dir", dir_s, "--shard", "0/2"]);
-    let out = sweep(&argv);
-    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
-    assert!(
-        !stdout_of(&out).contains('|'),
-        "a half-complete shard must suppress the table"
-    );
-    assert!(stderr_of(&out).contains("partial sweep"));
+    // A sweep killed halfway stored only the legs it finished: delete
+    // every other entry, then rerun with no extra flag.
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("cache dir written")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "entry"))
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len(), 84, "one entry per quick fig08 leg");
+    for path in entries.iter().step_by(2) {
+        std::fs::remove_file(path).expect("delete a cache entry");
+    }
 
-    // Second shard over the same cache dir: its own legs simulate, the
-    // first shard's legs hit the cache — the full table comes out.
-    let mut argv = QUICK.to_vec();
-    argv.extend(["--cache-dir", dir_s, "--shard", "1/2"]);
-    let out = sweep(&argv);
-    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    let resumed = sweep(&argv);
+    assert!(resumed.status.success(), "stderr: {}", stderr_of(&resumed));
     assert_eq!(
-        stdout_of(&reference),
-        stdout_of(&out),
-        "the last shard assembles the reference table from the shared cache"
-    );
-    let mut argv = QUICK.to_vec();
-    argv.extend(["--cache-dir", dir_s, "--resume"]);
-    let full = sweep(&argv);
-    assert!(full.status.success(), "stderr: {}", stderr_of(&full));
-    assert_eq!(
-        stdout_of(&reference),
-        stdout_of(&full),
-        "shards + --resume must reassemble the exact table"
+        stdout_of(&cold),
+        stdout_of(&resumed),
+        "a rerun over a partial cache must print the cold table"
     );
     assert!(
-        stderr_of(&full).contains("+ 0 simulated"),
-        "the assembly pass must answer entirely from cache: {}",
-        stderr_of(&full)
+        stderr_of(&resumed).contains("= 42 cached + 42 simulated"),
+        "only the deleted legs re-run: {}",
+        stderr_of(&resumed)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -140,8 +129,6 @@ fn bad_usage_exits_two() {
     for argv in [
         vec![],                           // no sweep name
         vec!["fig99"],                    // unknown sweep
-        vec!["fig08", "--shard", "2/2"],  // index out of range
-        vec!["fig08", "--resume"],        // resume without cache
         vec!["fig08", "--ops", "banana"], // malformed number
         vec!["fig13", "--cache-dir"],     // string flag without a value
         vec!["fig13", "--cache-dir", "--resume"],

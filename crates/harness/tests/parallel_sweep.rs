@@ -56,9 +56,7 @@ fn repeated_parallel_tables_identical() {
     // runs must render byte-identical tables.
     let run = || {
         let fig = figure("fig08").expect("registered figure");
-        sweep_figure(fig, test_scale(), &SweepArgs::default())
-            .0
-            .expect("an unsharded sweep is complete")
+        sweep_figure(fig, test_scale(), &SweepArgs::default()).0
     };
     let (a, b) = (run(), run());
     for (a, b) in a.iter().zip(&b) {

@@ -289,19 +289,12 @@ impl MemController {
         now
     }
 
-    /// Power-failure handling (§V-E): the WPQ is already reflected in the
-    /// functional NVM image (ADR domain); apply undo records to unwind
-    /// speculative updates and drop delay records. Returns how many undo
-    /// records were applied.
-    pub fn crash(&mut self, nvm: &mut NvmImage) -> usize {
-        self.rt.crash_drain(nvm)
-    }
-
-    /// Non-destructive counterpart of [`MemController::crash`]: apply the
-    /// undo records to `nvm` (normally a *clone* of the live image)
-    /// without consuming this controller's recovery table, so the
-    /// simulation can continue afterwards. Same record order, same
-    /// restores, same return value as `crash`.
+    /// Power-failure handling (§V-E) on `nvm`, normally a *clone* of the
+    /// live image: the WPQ is already reflected in the functional image
+    /// (ADR domain), so apply the undo records to unwind speculative
+    /// updates; delay records never reach the media. This controller's
+    /// recovery table keeps its records, so the simulation can continue
+    /// afterwards. Returns how many undo records were applied.
     pub fn crash_preview(&self, nvm: &mut NvmImage) -> usize {
         self.rt.clone().crash_drain(nvm)
     }
@@ -465,11 +458,15 @@ mod tests {
         nvm.persist(LineAddr::containing(9 * 64), [1u8; 64], Some(0), None);
         mc.receive_flush(Cycle(0), &pkt(9, 8, 3, 1, 4, true), &mut nvm, &mut stats);
         assert_eq!(nvm.line(LineAddr::containing(9 * 64)).data[0], 8);
-        assert!(mc.adr_drain_bytes() > 0);
-        let n = mc.crash(&mut nvm);
+        let drain = mc.adr_drain_bytes();
+        assert!(drain > 0);
+        let n = mc.crash_preview(&mut nvm);
         assert_eq!(n, 1);
         assert_eq!(nvm.line(LineAddr::containing(9 * 64)).data[0], 1);
-        assert_eq!(mc.adr_drain_bytes(), 0);
+        // The records stay: recovering again restores the same value.
+        assert_eq!(mc.adr_drain_bytes(), drain);
+        assert_eq!(mc.crash_preview(&mut nvm), 1);
+        assert_eq!(nvm.line(LineAddr::containing(9 * 64)).data[0], 1);
     }
 
     #[test]

@@ -236,17 +236,6 @@ impl RecoveryTable {
         early: bool,
         nvm: &mut NvmImage,
     ) -> FlushAction {
-        #[cfg(debug_assertions)]
-        if let Some(w) = std::env::var_os("ASAP_WATCH_LINE") {
-            let want = u64::from_str_radix(w.to_str().unwrap_or(""), 16).unwrap_or(0);
-            if line.byte_addr() == want {
-                eprintln!(
-                    "RT flush line={line} seq={seq} epoch={epoch} early={early} undo={:?} delays={}",
-                    self.undo_creator(idx),
-                    self.delay_count(idx)
-                );
-            }
-        }
         // A flush always supersedes an older delay record of its own
         // (line, epoch): same-epoch same-line writes leave the persist
         // buffer in order, so the incoming value is the newer one.
@@ -351,10 +340,6 @@ impl RecoveryTable {
     /// arrived. Returns the number of media writes performed by delay
     /// processing (the caller charges their latency).
     pub fn commit_epoch(&mut self, epoch: EpochId, nvm: &mut NvmImage) -> usize {
-        #[cfg(debug_assertions)]
-        if std::env::var_os("ASAP_WATCH_LINE").is_some() {
-            eprintln!("RT commit epoch={epoch}");
-        }
         // Commit messages only reach MCs the epoch flushed early to, so
         // an unconditional bump can only over-distinguish (sound for the
         // explorer's pruning digest, never unsound).

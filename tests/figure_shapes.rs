@@ -20,9 +20,7 @@ fn tiny() -> ExperimentScale {
 /// The tables of registry entry `name` at the tiny scale.
 fn tables(name: &str) -> Vec<Table> {
     let fig = figure(name).expect("registered figure");
-    sweep_figure(fig, tiny(), &SweepArgs::default())
-        .0
-        .expect("an unsharded sweep is complete")
+    sweep_figure(fig, tiny(), &SweepArgs::default()).0
 }
 
 fn cycles(model: ModelKind, flavor: Flavor, w: WorkloadKind, threads: usize) -> u64 {

@@ -80,8 +80,7 @@ fn equal_keys_imply_byte_identical_recovery() {
 
             let mut a = build(workload, model, false);
             a.run_for(Cycle(s));
-            let report_a = a.crash_check_now().expect("journal enabled");
-            let (img_a, _) = a.recovered_preview().expect("journal enabled");
+            let (report_a, img_a) = a.crash_check_now().expect("journal enabled");
 
             // Independent re-run straight to the far end of the
             // interval (plus an interior stop, which must not
@@ -90,8 +89,7 @@ fn equal_keys_imply_byte_identical_recovery() {
             let mut b = build(workload, model, false);
             b.run_for(Cycle(mid));
             b.run_for(Cycle(e));
-            let report_b = b.crash_check_now().expect("journal enabled");
-            let (img_b, _) = b.recovered_preview().expect("journal enabled");
+            let (report_b, img_b) = b.crash_check_now().expect("journal enabled");
 
             // Full byte-level image compare — the property the
             // explorer's pruning rests on.
