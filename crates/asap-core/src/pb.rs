@@ -383,15 +383,6 @@ impl PersistBuffer {
         None
     }
 
-    /// Whether any entry could make progress under `eligible` — used for
-    /// "PB blocked" accounting (Figure 3).
-    pub fn has_flushable<F>(&self, eligible: F, strict_lines: bool) -> bool
-    where
-        F: Fn(EpochId) -> bool,
-    {
-        self.next_flushable(eligible, strict_lines).is_some()
-    }
-
     /// Whether any entry is waiting to be issued (as opposed to already
     /// in flight): distinguishes *ordering-blocked* from merely
     /// *bandwidth-limited* buffers in the Figure 3 accounting.

@@ -610,6 +610,17 @@ impl Engine {
                     .next_flushable(|e| m.epoch_eligible(self, t, e), !m.relaxed_lines(t))
                     .is_none()
         };
+        self.set_pb_blocked(t, blocked_now);
+    }
+
+    /// Open or close core `t`'s ordering-blocked interval given whether
+    /// its buffer is blocked now. A no-op for the models without a
+    /// tracked persist buffer (`uses_pb` false), BBB included: its flush
+    /// engine drains a buffer this accounting does not cover.
+    pub(super) fn set_pb_blocked(&mut self, t: usize, blocked_now: bool) {
+        if !self.uses_pb {
+            return;
+        }
         match (self.cores[t].pb_blocked_since, blocked_now) {
             (None, true) => self.cores[t].pb_blocked_since = Some(self.now),
             (Some(s), false) => {

@@ -478,7 +478,11 @@ impl Engine {
                     .map(|e| (e.id, e.line, e.epoch))
             };
             let Some((id, line, epoch)) = candidate else {
-                break;
+                // The scan just found nothing flushable: the buffer is
+                // ordering-blocked exactly when an entry is waiting.
+                let blocked_now = self.cores[t].pb.has_waiting();
+                self.set_pb_blocked(t, blocked_now);
+                return;
             };
             let early = m.flushes_early(self, t, epoch.ts);
             if early {

@@ -1,4 +1,13 @@
 //! Generic set-associative array with true-LRU replacement.
+//!
+//! The array is two flat vectors indexed by slot (`set * ways + way`):
+//! `tags` holds each way's line and `stamps` its last-use tick. Both
+//! start as `vec![0; n]`, so a fresh array is zero-filled memory that the
+//! allocator hands out without writing it: a 16 MB LLC's 3 MB of tags
+//! and stamps cost nothing until a set is first touched. Zero is the
+//! empty way in both: a tag stores the line's [`LineIdx`] plus one, and
+//! ticks start at 1, so an empty way is always the oldest in its set and
+//! is filled before any line is evicted.
 
 use asap_sim_core::{LineAddr, LineIdx};
 
@@ -24,15 +33,22 @@ use asap_sim_core::{LineAddr, LineIdx};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssoc {
-    /// Flat slot storage: set `s` occupies `slots[s*ways..(s+1)*ways]`,
-    /// of which the first `lens[s]` entries are valid. Two allocations
-    /// for the whole array (a per-set `Vec<Vec<_>>` cost one allocation
-    /// per touched set — thousands per simulator in a sweep) and the
-    /// scan of a set is one contiguous cache line's worth of tags.
-    slots: Vec<(LineIdx, u64)>, // (interned line, last-use tick)
-    lens: Vec<u8>,
+    /// Per slot: the resident line's `LineIdx` plus one, or 0 if empty.
+    tags: Vec<u32>,
+    /// Per slot: the resident line's last-use tick, or 0 if empty.
+    stamps: Vec<u64>,
     ways: usize,
+    /// `num_sets - 1` (the set count is a power of two).
+    set_mask: usize,
     tick: u64,
+}
+
+/// The stored tag of `idx`: zero is reserved for an empty way.
+#[inline]
+fn tag(idx: LineIdx) -> u32 {
+    idx.0
+        .checked_add(1)
+        .expect("LineIdx(u32::MAX) is never interned")
 }
 
 impl SetAssoc {
@@ -40,19 +56,18 @@ impl SetAssoc {
     ///
     /// # Panics
     ///
-    /// Panics if `num_sets` is not a power of two, either argument is 0,
-    /// or `ways` exceeds 255 (the per-set occupancy is a byte).
+    /// Panics if `num_sets` is not a power of two or `ways` is 0.
     pub fn new(num_sets: usize, ways: usize) -> SetAssoc {
         assert!(
             num_sets.is_power_of_two() && num_sets > 0,
             "sets must be a power of two"
         );
         assert!(ways > 0, "ways must be nonzero");
-        assert!(ways <= u8::MAX as usize, "ways must fit in a byte");
         SetAssoc {
-            slots: vec![(LineIdx(0), 0); num_sets * ways],
-            lens: vec![0; num_sets],
+            tags: vec![0; num_sets * ways],
+            stamps: vec![0; num_sets * ways],
             ways,
+            set_mask: num_sets - 1,
             tick: 0,
         }
     }
@@ -68,79 +83,67 @@ impl SetAssoc {
         SetAssoc::new(sets, ways)
     }
 
+    /// The slot range of the set holding `line`.
     #[inline]
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.index() as usize) & (self.lens.len() - 1)
-    }
-
-    /// The valid slots of the set holding `line`.
-    #[inline]
-    fn set(&self, s: usize) -> &[(LineIdx, u64)] {
-        &self.slots[s * self.ways..s * self.ways + self.lens[s] as usize]
+    fn set(&self, line: LineAddr) -> std::ops::Range<usize> {
+        let base = (line.index() as usize & self.set_mask) * self.ways;
+        base..base + self.ways
     }
 
     /// Whether `line` (interned as `idx`) is present (does not update
     /// recency).
     #[inline]
     pub fn contains(&self, line: LineAddr, idx: LineIdx) -> bool {
-        self.set(self.set_index(line))
-            .iter()
-            .any(|&(l, _)| l == idx)
+        self.tags[self.set(line)].contains(&tag(idx))
     }
 
     /// Insert or refresh `line` (interned as `idx`); returns the victim
     /// evicted to make room, if any.
     pub fn touch(&mut self, line: LineAddr, idx: LineIdx) -> Option<LineIdx> {
         self.tick += 1;
-        let tick = self.tick;
-        let s = self.set_index(line);
-        let len = self.lens[s] as usize;
-        let base = s * self.ways;
-        let set = &mut self.slots[base..base + len];
-        if let Some(entry) = set.iter_mut().find(|(l, _)| *l == idx) {
-            entry.1 = tick;
+        let set = self.set(line);
+        let key = tag(idx);
+        let tags = &mut self.tags[set.clone()];
+        let stamps = &mut self.stamps[set];
+        if let Some(way) = tags.iter().position(|&t| t == key) {
+            stamps[way] = self.tick;
             return None;
         }
-        if len < self.ways {
-            self.slots[base + len] = (idx, tick);
-            self.lens[s] += 1;
-            return None;
-        }
-        // Evict true-LRU victim.
-        let (victim_pos, _) = set
+        // True LRU: the oldest stamp, which is an empty way's 0 while the
+        // set has room.
+        let (way, _) = stamps
             .iter()
             .enumerate()
-            .min_by_key(|(_, &(_, t))| t)
-            .expect("nonempty set");
-        let victim = set[victim_pos].0;
-        set[victim_pos] = (idx, tick);
-        Some(victim)
+            .min_by_key(|&(_, &s)| s)
+            .expect("ways is nonzero");
+        let victim = std::mem::replace(&mut tags[way], key);
+        stamps[way] = self.tick;
+        victim.checked_sub(1).map(LineIdx)
     }
 
     /// Remove `line` (interned as `idx`) if present; returns whether it
     /// was present.
     pub fn invalidate(&mut self, line: LineAddr, idx: LineIdx) -> bool {
-        let s = self.set_index(line);
-        let len = self.lens[s] as usize;
-        let base = s * self.ways;
-        let set = &mut self.slots[base..base + len];
-        if let Some(pos) = set.iter().position(|&(l, _)| l == idx) {
-            set.swap(pos, len - 1);
-            self.lens[s] -= 1;
-            true
-        } else {
-            false
+        let set = self.set(line);
+        let key = tag(idx);
+        match self.tags[set.clone()].iter().position(|&t| t == key) {
+            Some(way) => {
+                self.tags[set.start + way] = 0;
+                self.stamps[set.start + way] = 0;
+                true
+            }
+            None => false,
         }
     }
 
     /// Number of lines currently present.
     pub fn occupancy(&self) -> usize {
-        self.lens.iter().map(|&l| l as usize).sum()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 
     /// Total capacity in lines.
     pub fn capacity_lines(&self) -> usize {
-        self.lens.len() * self.ways
+        self.tags.len()
     }
 }
 

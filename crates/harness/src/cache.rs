@@ -392,18 +392,6 @@ const ENTRY_HEADER: &str = "# asap-outcome v2";
 /// other [`OutcomeCache::store`] call shares.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Hit/miss/store counters of an [`OutcomeCache`], for reports and the
-/// CI cache-stats artifact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Probes answered from disk.
-    pub hits: u64,
-    /// Probes that found no (valid) entry.
-    pub misses: u64,
-    /// Entries written.
-    pub stores: u64,
-}
-
 /// A directory of checksummed outcome entries, one file per 64-bit key
 /// (`<key:016x>.entry`). Concurrency-safe by construction: every write
 /// goes to a temp file of its own (pid plus a process-wide counter),
@@ -413,9 +401,6 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct OutcomeCache {
     dir: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stores: AtomicU64,
 }
 
 impl OutcomeCache {
@@ -424,9 +409,6 @@ impl OutcomeCache {
         std::fs::create_dir_all(dir.as_ref())?;
         Ok(OutcomeCache {
             dir: dir.as_ref().to_path_buf(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
         })
     }
 
@@ -439,14 +421,9 @@ impl OutcomeCache {
     /// header, truncation, checksum mismatch — is a miss (`None`);
     /// corruption can cost a re-run but never a wrong result.
     pub fn load(&self, key: u64) -> Option<String> {
-        let payload = std::fs::read_to_string(self.entry_path(key))
+        std::fs::read_to_string(self.entry_path(key))
             .ok()
-            .and_then(|text| Self::parse_entry(&text));
-        match &payload {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        payload
+            .and_then(|text| Self::parse_entry(&text))
     }
 
     /// Validate an entry file and extract its payload.
@@ -474,18 +451,7 @@ impl OutcomeCache {
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, self.entry_path(key))?;
-        self.stores.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Counters since `open`.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-        }
+        std::fs::rename(&tmp, self.entry_path(key))
     }
 }
 
@@ -511,6 +477,16 @@ mod tests {
         let d = std::env::temp_dir().join(format!("asap-cache-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
+    }
+
+    /// The file names in `dir`, sorted.
+    fn dir_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -758,8 +734,11 @@ mod tests {
         std::fs::write(&path, v1).unwrap();
         assert_eq!(cache.load(key), None, "a v1 entry must miss");
 
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.stores), (1, 5, 1));
+        // The one store wrote the one entry file and no temp file, and
+        // no failed load removed or rewrote it.
+        assert_eq!(dir_names(&dir), [format!("{key:016x}.entry")]);
+        std::fs::write(&path, &full).unwrap();
+        assert_eq!(cache.load(key).as_deref(), Some("kind=test payload=1"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -782,13 +761,8 @@ mod tests {
             }
         });
         assert_eq!(cache.load(0x5eed).as_deref(), Some("kind=test same=1"));
-        assert_eq!(cache.stats().stores, 8 * 50);
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|name| name.contains(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+        // 400 stores of one key leave one entry and no temp file.
+        assert_eq!(dir_names(&dir), ["0000000000005eed.entry"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

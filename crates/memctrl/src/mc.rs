@@ -197,7 +197,6 @@ impl MemController {
             stats.tot_spec_writes += 1;
             stats.total_undo += 1;
             stats.rt_occupancy.record(self.rt.occupancy() as u64);
-            self.xp.touch(idx);
             FlushOutcome::Accepted {
                 accept_at: now,
                 action,
@@ -296,7 +295,7 @@ impl MemController {
     /// recovery table keeps its records, so the simulation can continue
     /// afterwards. Returns how many undo records were applied.
     pub fn crash_preview(&self, nvm: &mut NvmImage) -> usize {
-        self.rt.clone().crash_drain(nvm)
+        self.rt.crash_drain(nvm)
     }
 
     /// Fault-injection passthrough to

@@ -129,9 +129,11 @@ struct DelayRec {
 /// let a = rt.handle_flush(line, idx, [9u8; 64], 7, e, true, &mut nvm);
 /// assert_eq!(a, FlushAction::SpeculativelyPersisted);
 /// assert_eq!(nvm.line(line).data[0], 9);
-/// // Crash now: the undo record restores the old (zero) value.
-/// rt.crash_drain(&mut nvm);
+/// // Crash now: the undo record restores the old (zero) value, and the
+/// // table keeps its record.
+/// assert_eq!(rt.crash_drain(&mut nvm), 1);
 /// assert_eq!(nvm.line(line).data[0], 0);
+/// assert!(rt.has_undo(idx));
 /// ```
 #[derive(Debug, Clone)]
 pub struct RecoveryTable {
@@ -370,16 +372,16 @@ impl RecoveryTable {
         media_writes
     }
 
-    /// Crash handling (§V-E): write undo-record values back to memory
-    /// (unwinding speculation) and discard delay records. Returns the
-    /// number of undo records applied.
-    pub fn crash_drain(&mut self, nvm: &mut NvmImage) -> usize {
-        let n = self.undo.len();
-        for u in self.undo.drain(..) {
-            nvm.restore(u.line, u.safe);
+    /// Crash handling (§V-E) on `nvm`: write undo-record values back to
+    /// memory, unwinding speculation; delay records never reach the
+    /// media. The table keeps every record, so the same crash can be
+    /// applied to another image and the simulation can continue.
+    /// Returns the number of undo records applied.
+    pub fn crash_drain(&self, nvm: &mut NvmImage) -> usize {
+        for u in &self.undo {
+            nvm.restore(u.line, u.safe.clone());
         }
-        self.delay.clear();
-        n
+        self.undo.len()
     }
 
     /// Iterate over all records (diagnostics/tests); undo records first,
@@ -511,7 +513,7 @@ mod tests {
         assert_eq!(rt.delay_count(ix(4)), 0);
         // Crash here would now restore 2, not 0:
         let mut crashed = nvm.clone();
-        rt.clone().crash_drain(&mut crashed);
+        rt.crash_drain(&mut crashed);
         assert_eq!(crashed.line(la(4)).data[0], 2);
         // T3 commits: undo deleted, memory keeps 3.
         rt.commit_epoch(ep(3, 1), &mut nvm);
@@ -616,13 +618,18 @@ mod tests {
     }
 
     #[test]
-    fn crash_drain_reports_count_and_clears() {
+    fn crash_drain_reports_count_and_keeps_records() {
         let mut rt = RecoveryTable::new(8);
         let mut nvm = NvmImage::new();
         rt.handle_flush(la(14), ix(14), snap(1), 1, ep(0, 1), true, &mut nvm);
         rt.handle_flush(la(15), ix(15), snap(2), 2, ep(0, 1), true, &mut nvm);
         rt.handle_flush(la(14), ix(14), snap(3), 3, ep(1, 1), true, &mut nvm); // delay
+        let records = rt.records();
         assert_eq!(rt.crash_drain(&mut nvm), 2);
-        assert_eq!(rt.occupancy(), 0);
+        assert_eq!(nvm.line(la(14)).data[0], 0);
+        assert_eq!(nvm.line(la(15)).data[0], 0);
+        // Every record stays, delay records included.
+        assert_eq!(rt.occupancy(), 3);
+        assert_eq!(rt.records(), records);
     }
 }

@@ -25,9 +25,15 @@
 //!
 //! Journaling is optional (disabled for long performance runs) because it
 //! snapshots 64 bytes per store.
+//!
+//! Whether or not payloads are kept, the journal also indexes the latest
+//! store to each line ([`WriteJournal::last_store`]): a [`LineTable`]
+//! interns each line on its first store and a flat `Vec` holds the
+//! latest sequence number per interned line, so a store pays one
+//! open-addressed probe and no hashing of its own.
 
 use crate::space::LineSnapshot;
-use asap_sim_core::{EpochId, LineAddr};
+use asap_sim_core::{EpochId, LineAddr, LineTable};
 
 /// Monotonic global sequence number of a journaled write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -62,7 +68,7 @@ pub struct JournalEntry {
 /// j.assign_epoch(seq, EpochId::new(ThreadId(0), 0));
 /// assert!(j.entries()[0].epoch.is_some());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct WriteJournal {
     entries: Vec<JournalEntry>,
     enabled: bool,
@@ -76,8 +82,12 @@ pub struct WriteJournal {
     /// `0` until the store executes. Lets the persist-race detector
     /// order "epoch committed" against "write executed" in real time.
     exec_clock: Vec<u64>,
-    /// Latest store per line (generation order); also always maintained.
-    last_store: std::collections::HashMap<LineAddr, WriteSeq>,
+    /// Lines stored to, interned in first-store order; also always
+    /// maintained.
+    lines: LineTable,
+    /// `last_store[i]` is the latest (generation-order) store to the line
+    /// interned as `LineIdx(i)` in `lines`.
+    last_store: Vec<WriteSeq>,
     /// Monotonic mutation counter: bumped on every [`record`] and
     /// [`assign_epoch`]. Within one deterministic run, two instants with
     /// the same version saw the identical mutation prefix, so the whole
@@ -87,6 +97,25 @@ pub struct WriteJournal {
     /// [`record`]: WriteJournal::record
     /// [`assign_epoch`]: WriteJournal::assign_epoch
     version: u64,
+}
+
+/// Distinct lines the last-store index has room for before it grows.
+const LINES_HINT: usize = 1024;
+
+impl Default for WriteJournal {
+    /// A disabled journal.
+    fn default() -> WriteJournal {
+        WriteJournal {
+            entries: Vec::new(),
+            enabled: false,
+            next_seq: 0,
+            executed: Vec::new(),
+            exec_clock: Vec::new(),
+            lines: LineTable::with_capacity(LINES_HINT),
+            last_store: Vec::with_capacity(LINES_HINT),
+            version: 0,
+        }
+    }
 }
 
 impl WriteJournal {
@@ -118,7 +147,13 @@ impl WriteJournal {
         self.version += 1;
         self.executed.push(false);
         self.exec_clock.push(0);
-        self.last_store.insert(line, seq);
+        // A line's first store interns it at the next dense index.
+        let i = self.lines.intern(line).as_usize();
+        if i == self.last_store.len() {
+            self.last_store.push(seq);
+        } else {
+            self.last_store[i] = seq;
+        }
         if self.enabled {
             self.entries.push(JournalEntry {
                 seq,
@@ -172,7 +207,8 @@ impl WriteJournal {
 
     /// The latest (generation-order) store to `line`, if any.
     pub fn last_store(&self, line: LineAddr) -> Option<WriteSeq> {
-        self.last_store.get(&line).copied()
+        let i = self.lines.lookup(line)?;
+        Some(self.last_store[i.as_usize()])
     }
 
     /// Look up an entry by sequence number (entries are dense while
@@ -262,6 +298,20 @@ mod tests {
         assert_eq!(of(ep(0, 0)), 2);
         assert_eq!(of(ep(1, 0)), 0);
         assert_eq!(j.entries().len(), 3);
+    }
+
+    #[test]
+    fn last_store_tracks_the_latest_write_per_line() {
+        let mut j = WriteJournal::disabled();
+        let (a, b) = (LineAddr::containing(0), LineAddr::containing(64));
+        assert_eq!(j.last_store(a), None);
+        let a0 = j.record(a, [0; 64]);
+        let b0 = j.record(b, [0; 64]);
+        assert_eq!(j.last_store(a), Some(a0));
+        let a1 = j.record(a, [1; 64]);
+        assert_eq!(j.last_store(a), Some(a1));
+        assert_eq!(j.last_store(b), Some(b0));
+        assert_eq!(j.last_store(LineAddr::containing(128)), None);
     }
 
     #[test]

@@ -2,28 +2,48 @@
 //!
 //! The queue is the single hottest structure of the simulator: every
 //! flush/ack round trip, commit message and core step passes through it,
-//! and sweep runs (Figures 2–13) execute tens of millions of
-//! push/pop pairs. Two hot-path choices follow from that:
+//! and a paper-scale Fig. 8 sweep executes about 22 million push/pop
+//! pairs. The pending population is small (a mean of 6 events at push
+//! on Fig. 8, 13.5 on Fig. 12, never more than 64 on any registry
+//! figure at `--full`), so the cost is per operation, not per element.
+//! Three choices follow from that:
 //!
-//! * **Packed sort key.** `(Cycle, seq)` is packed into one `u128`
-//!   (`time` in the high 64 bits, insertion sequence in the low 64), so
-//!   every heap comparison is a single integer compare instead of a
-//!   two-field lexicographic one. Sequence numbers make keys unique,
-//!   which also keeps same-cycle events in FIFO order — the property
-//!   that makes whole-simulation runs bit-for-bit reproducible.
+//! * **16-byte packed heap keys.** Each heap element is one `u128`:
+//!   `time << 64 | seq << 24 | slot`. `seq` is the insertion sequence
+//!   number, so every comparison is a single integer compare and keys
+//!   are unique; same-cycle events pop in FIFO order, the property that
+//!   makes whole-simulation runs bit-for-bit reproducible. `slot` sits
+//!   below `seq` and so never decides an order.
+//! * **Events in a slab.** The payloads live in a `Vec<Option<E>>`
+//!   indexed by `slot`, with a free list of vacated slots, so a sift
+//!   moves 16 bytes instead of a key-plus-event tuple.
 //! * **Four-ary implicit heap.** A 4-ary heap is ~half as deep as a
 //!   binary heap, trading a couple of extra sibling compares per level
-//!   (cheap, cache-resident) for fewer cache-missing levels on the
-//!   sift-down path that `pop` always pays.
+//!   (cheap, cache-resident) for fewer levels on the sift-down path that
+//!   `pop` always pays.
 
 use crate::time::Cycle;
 
 /// Heap arity: each node has up to four children at `4i+1 ..= 4i+4`.
 const ARITY: usize = 4;
 
+/// Bits of a packed key holding the slab slot.
+const SLOT_BITS: u32 = 24;
+/// Bits of a packed key holding the insertion sequence number.
+const SEQ_BITS: u32 = 40;
+const SLOT_MASK: u128 = (1 << SLOT_BITS) - 1;
+
 #[inline]
-fn pack(at: Cycle, seq: u64) -> u128 {
-    ((at.raw() as u128) << 64) | seq as u128
+fn pack(at: Cycle, seq: u64, slot: usize) -> u128 {
+    assert!(
+        seq < 1 << SEQ_BITS,
+        "event queue: sequence number {seq} does not fit in {SEQ_BITS} bits"
+    );
+    assert!(
+        slot < 1 << SLOT_BITS,
+        "event queue: slot {slot} does not fit in {SLOT_BITS} bits (too many pending events)"
+    );
+    (u128::from(at.raw()) << 64) | (u128::from(seq) << SLOT_BITS) | slot as u128
 }
 
 #[inline]
@@ -32,21 +52,28 @@ fn unpack_time(key: u128) -> Cycle {
 }
 
 #[inline]
-fn sift_up<E>(heap: &mut [(u128, E)], mut i: usize) {
-    while i > 0 {
-        let parent = (i - 1) / ARITY;
-        if heap[i].0 < heap[parent].0 {
-            heap.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
-    }
+fn unpack_slot(key: u128) -> usize {
+    (key & SLOT_MASK) as usize
 }
 
 #[inline]
-fn sift_down<E>(heap: &mut [(u128, E)], mut i: usize) {
+fn sift_up(heap: &mut [u128], mut i: usize) {
+    let key = heap[i];
+    while i > 0 {
+        let parent = (i - 1) / ARITY;
+        if key >= heap[parent] {
+            break;
+        }
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = key;
+}
+
+#[inline]
+fn sift_down(heap: &mut [u128], mut i: usize) {
     let len = heap.len();
+    let key = heap[i];
     loop {
         let first = ARITY * i + 1;
         if first >= len {
@@ -55,17 +82,17 @@ fn sift_down<E>(heap: &mut [(u128, E)], mut i: usize) {
         let mut min = first;
         let end = (first + ARITY).min(len);
         for c in first + 1..end {
-            if heap[c].0 < heap[min].0 {
+            if heap[c] < heap[min] {
                 min = c;
             }
         }
-        if heap[min].0 < heap[i].0 {
-            heap.swap(i, min);
-            i = min;
-        } else {
+        if heap[min] >= key {
             break;
         }
+        heap[i] = heap[min];
+        i = min;
     }
+    heap[i] = key;
 }
 
 /// A priority queue of `(Cycle, E)` pairs with deterministic FIFO ordering
@@ -87,18 +114,20 @@ fn sift_down<E>(heap: &mut [(u128, E)], mut i: usize) {
 /// ```
 #[derive(Default)]
 pub struct EventQueue<E> {
-    /// Implicit min-heap ordered by the packed `(time, seq)` key.
-    heap: Vec<(u128, E)>,
+    /// Implicit min-heap of packed `(time, seq, slot)` keys.
+    heap: Vec<u128>,
+    /// Event payloads; `slab[slot]` is `Some` exactly while a heap key
+    /// names `slot`.
+    slab: Vec<Option<E>>,
+    /// Vacant slab slots, reused before the slab grows.
+    free: Vec<usize>,
     next_seq: u64,
 }
 
 impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> EventQueue<E> {
-        EventQueue {
-            heap: Vec::new(),
-            next_seq: 0,
-        }
+        EventQueue::with_capacity(0)
     }
 
     /// Create an empty queue with room for `cap` pending events, so the
@@ -106,6 +135,8 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(cap: usize) -> EventQueue<E> {
         EventQueue {
             heap: Vec::with_capacity(cap),
+            slab: Vec::with_capacity(cap),
+            free: Vec::with_capacity(cap),
             next_seq: 0,
         }
     }
@@ -114,26 +145,40 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Cycle, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push((pack(at, seq), event));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                self.slab.len() - 1
+            }
+        };
+        self.heap.push(pack(at, seq, slot));
         let last = self.heap.len() - 1;
         sift_up(&mut self.heap, last);
     }
 
     /// Remove and return the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        if self.heap.is_empty() {
-            return None;
+        let key = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty");
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            sift_down(&mut self.heap, 0);
         }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let (key, event) = self.heap.pop().expect("non-empty");
-        sift_down(&mut self.heap, 0);
+        let slot = unpack_slot(key);
+        let event = self.slab[slot]
+            .take()
+            .expect("a heap key names a full slot");
+        self.free.push(slot);
         Some((unpack_time(key), event))
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.first().map(|&(key, _)| unpack_time(key))
+        self.heap.first().map(|&key| unpack_time(key))
     }
 
     /// Number of pending events.
@@ -150,11 +195,17 @@ impl<E> EventQueue<E> {
     /// counter, so FIFO ordering stays globally consistent) for reuse.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
     }
 
-    /// Allocated capacity of the backing store.
+    /// Pending events the queue holds without re-growing its backing
+    /// store.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.heap
+            .capacity()
+            .min(self.slab.capacity())
+            .min(self.free.capacity())
     }
 }
 
@@ -276,6 +327,30 @@ mod tests {
             }
             last = Some((t, i));
         }
+    }
+
+    #[test]
+    fn slots_are_reused_after_pop() {
+        let mut q = EventQueue::with_capacity(4);
+        for round in 0..100u64 {
+            q.push(Cycle(round), round);
+            q.push(Cycle(round), round + 1000);
+            assert_eq!(q.pop(), Some((Cycle(round), round)));
+            assert_eq!(q.pop(), Some((Cycle(round), round + 1000)));
+        }
+        assert_eq!(q.slab.len(), 2, "a drained queue reuses its slots");
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence number")]
+    fn pack_rejects_a_sequence_number_past_40_bits() {
+        pack(Cycle(0), 1 << SEQ_BITS, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "too many pending events")]
+    fn pack_rejects_a_slot_past_24_bits() {
+        pack(Cycle(0), 0, 1 << SLOT_BITS);
     }
 
     #[test]

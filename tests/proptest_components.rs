@@ -1,22 +1,24 @@
 //! Randomized property tests on the core data structures and invariants:
 //! allocator disjointness, recovery-table state machine, Bloom filter,
 //! event-queue ordering, histogram percentiles, the dependency DAG and
-//! the crash oracle (against a quadratic reference).
+//! the crash oracle (against a quadratic reference). The event queue,
+//! XPBuffer and set-associative array are also checked op by op against
+//! simple reference models.
 //!
 //! Cases are generated with the workspace's own [`DetRng`] (seeded per
 //! case, so every failure is reproducible from the printed case number)
 //! rather than an external property-testing framework, which keeps the
 //! test suite dependency-free.
 
-use asap::cache::CountingBloom;
-use asap::mc::RecoveryTable;
+use asap::cache::{CountingBloom, SetAssoc};
+use asap::mc::{RecoveryTable, XpBuffer};
 use asap::model::oracle::{self, CrashReport, Violation, ViolationRule};
 use asap::model::DepGraph;
 use asap::pm::{NvmImage, PmAllocator, PmSpace, WriteJournal, WriteSeq};
 use asap::sim::{
     Cycle, DetRng, EpochId, EventQueue, LineAddr, LineIdx, LineTable, LogHistogram, ThreadId,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 const CASES: u64 = 64;
 
@@ -219,6 +221,213 @@ fn event_queue_pops_in_time_then_fifo_order() {
             }
             last = Some((t, i));
         }
+    }
+}
+
+/// [`EventQueue`] agrees with a `BTreeMap` keyed by `(time, push
+/// order)` on every pop, peek and length, through random pushes, pops
+/// and clears. Each case first builds more than 1,000 pending events and
+/// then churns, so the slab reuses vacated slots many times over.
+#[test]
+fn event_queue_matches_btreemap_model() {
+    for case in 0..CASES {
+        let mut rng = case_rng(17, case);
+        let mut q = EventQueue::new();
+        let mut model: BTreeMap<(Cycle, u64), u64> = BTreeMap::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        let mut max_pending = 0;
+        let build = 1500 + rng.below(500);
+        let churn = rng.index(3000) + 1;
+        for step in 0..build + churn as u64 {
+            let push_p = if step < build { 0.9 } else { 0.5 };
+            if step >= build && rng.chance(0.001) {
+                q.clear();
+                model.clear();
+            } else if rng.chance(push_p) {
+                // Near-future times with many same-cycle ties.
+                let at = Cycle(now + rng.below(64));
+                q.push(at, seq);
+                model.insert((at, seq), seq);
+                seq += 1;
+            } else {
+                let want = model.pop_first().map(|((t, _), e)| (t, e));
+                let got = q.pop();
+                assert_eq!(got, want, "case {case} step {step}");
+                if let Some((t, _)) = got {
+                    now = t.raw();
+                }
+            }
+            max_pending = max_pending.max(q.len());
+            assert_eq!(q.len(), model.len(), "case {case} step {step}");
+            assert_eq!(
+                q.peek_time(),
+                model.keys().next().map(|&(t, _)| t),
+                "case {case} step {step}"
+            );
+        }
+        assert!(
+            max_pending > 1000,
+            "case {case}: only {max_pending} pending"
+        );
+        while let Some(got) = q.pop() {
+            let want = model.pop_first().map(|((t, _), e)| (t, e));
+            assert_eq!(Some(got), want, "case {case}: drain");
+        }
+        assert!(model.is_empty(), "case {case}");
+    }
+}
+
+// ---- XPBuffer ----
+
+/// The XPBuffer's first implementation, kept as the model: a
+/// `VecDeque` in recency order, scanned on every touch.
+struct VecDequeLru {
+    lru: VecDeque<LineIdx>,
+    capacity: usize,
+}
+
+impl VecDequeLru {
+    fn touch(&mut self, line: LineIdx) -> bool {
+        if let Some(pos) = self.lru.iter().position(|&l| l == line) {
+            self.lru.remove(pos);
+            self.lru.push_back(line);
+            true
+        } else {
+            if self.lru.len() >= self.capacity {
+                self.lru.pop_front();
+            }
+            self.lru.push_back(line);
+            false
+        }
+    }
+}
+
+#[test]
+fn xpbuffer_hits_match_vecdeque_lru() {
+    for capacity in [1usize, 2, 7, 256] {
+        for case in 0..CASES {
+            let mut rng = case_rng(18, case ^ ((capacity as u64) << 16));
+            let mut xp = XpBuffer::new(capacity);
+            let mut model = VecDequeLru {
+                lru: VecDeque::new(),
+                capacity,
+            };
+            // A universe a little larger than the buffer, with a hot
+            // subset, so hits, misses and evictions all occur.
+            let universe = capacity as u64 * 2 + rng.below(8) + 1;
+            let hot = capacity as u64 / 2 + 1;
+            let ops = rng.index(2000) + 1;
+            for step in 0..ops {
+                let line = if rng.chance(0.5) {
+                    rng.below(hot)
+                } else {
+                    rng.below(universe)
+                };
+                let line = LineIdx(line as u32);
+                assert_eq!(
+                    xp.touch(line),
+                    model.touch(line),
+                    "capacity {capacity} case {case} step {step}: {line:?}"
+                );
+            }
+        }
+    }
+}
+
+// ---- set-associative array ----
+
+/// The set-associative array's first layout, kept as the model: per set,
+/// the valid `(line, last-use tick)` tuples, evicting the oldest tick.
+struct TupleSetAssoc {
+    sets: Vec<Vec<(LineIdx, u64)>>,
+    ways: usize,
+    tick: u64,
+}
+
+impl TupleSetAssoc {
+    fn set(&self, line: LineAddr) -> usize {
+        line.index() as usize & (self.sets.len() - 1)
+    }
+
+    fn contains(&self, line: LineAddr, idx: LineIdx) -> bool {
+        self.sets[self.set(line)].iter().any(|&(l, _)| l == idx)
+    }
+
+    fn touch(&mut self, line: LineAddr, idx: LineIdx) -> Option<LineIdx> {
+        self.tick += 1;
+        let tick = self.tick;
+        let ways = self.ways;
+        let s = self.set(line);
+        let set = &mut self.sets[s];
+        if let Some(entry) = set.iter_mut().find(|(l, _)| *l == idx) {
+            entry.1 = tick;
+            return None;
+        }
+        if set.len() < ways {
+            set.push((idx, tick));
+            return None;
+        }
+        let pos = (0..set.len()).min_by_key(|&i| set[i].1).unwrap();
+        Some(std::mem::replace(&mut set[pos], (idx, tick)).0)
+    }
+
+    fn invalidate(&mut self, line: LineAddr, idx: LineIdx) -> bool {
+        let s = self.set(line);
+        let set = &mut self.sets[s];
+        match set.iter().position(|&(l, _)| l == idx) {
+            Some(pos) => {
+                set.swap_remove(pos);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+#[test]
+fn set_assoc_matches_tuple_array_model() {
+    for case in 0..CASES {
+        let mut rng = case_rng(19, case);
+        let num_sets = 1 << rng.below(4);
+        let ways = [1, 2, 4, 8, 16][rng.index(5)];
+        let mut c = SetAssoc::new(num_sets, ways);
+        let mut model = TupleSetAssoc {
+            sets: vec![Vec::new(); num_sets],
+            ways,
+            tick: 0,
+        };
+        // Interned indices differ from the address bits that pick the
+        // set, as in the cache hierarchy.
+        let mut lines = LineTable::new();
+        let universe = (num_sets * ways) as u64 * 2 + 1;
+        let ops = rng.index(3000) + 1;
+        for step in 0..ops {
+            let line = LineAddr::containing(rng.below(universe) * 64);
+            let idx = lines.intern(line);
+            let roll = rng.below(10);
+            if roll < 6 {
+                assert_eq!(
+                    c.touch(line, idx),
+                    model.touch(line, idx),
+                    "case {case} step {step}: victim"
+                );
+            } else if roll < 8 {
+                assert_eq!(
+                    c.contains(line, idx),
+                    model.contains(line, idx),
+                    "case {case} step {step}: contains"
+                );
+            } else {
+                assert_eq!(
+                    c.invalidate(line, idx),
+                    model.invalidate(line, idx),
+                    "case {case} step {step}: invalidate"
+                );
+            }
+        }
+        let occupancy: usize = model.sets.iter().map(Vec::len).sum();
+        assert_eq!(c.occupancy(), occupancy, "case {case}");
     }
 }
 
