@@ -1,18 +1,19 @@
 //! Glue from the workload suite to the two analysis passes.
 //!
 //! [`lint_workload`] / [`lint_all_workloads`] run the static lint over
-//! the streams a workload generates; [`race_check_workload`] runs a real
-//! timing simulation with the journal on and hands the result to
-//! `asap_core::race`. Both apply the built-in waiver table
+//! the streams a workload generates, under the built-in waiver table
 //! ([`crate::waivers::BUILTIN_WAIVERS`]), so their reports correspond
-//! exactly to what the CI gate enforces.
+//! exactly to what the CI gate enforces. The race pass simulates, so its
+//! leg is built where every closed-loop leg is (the harness's
+//! `run_race_check`); [`race_findings`] turns its report into lint-style
+//! findings for the same waiver table.
 
 use crate::extract::extract_streams;
 use crate::lint::{lint_streams, Finding, LintOptions, Severity};
 use crate::report::{LintRun, WorkloadLintReport};
 use crate::waivers::{self, Waiver};
-use asap_core::{RaceReport, SimBuilder};
-use asap_sim_core::{Flavor, ModelKind, SimConfig};
+use asap_core::RaceReport;
+use asap_sim_core::Flavor;
 use asap_workloads::{make_workload, WorkloadKind, WorkloadParams};
 
 /// Parameters for an analysis run over the workload suite.
@@ -24,10 +25,8 @@ pub struct AnalysisParams {
     pub ops_per_thread: u64,
     /// Workload RNG seed.
     pub seed: u64,
-    /// Persistency flavor (segmentation for lint, simulation for races).
+    /// Persistency flavor (epoch segmentation).
     pub flavor: Flavor,
-    /// Model simulated for the race pass (lint never simulates).
-    pub model: ModelKind,
     /// Burst budget for static extraction.
     pub max_bursts: u64,
 }
@@ -39,7 +38,6 @@ impl Default for AnalysisParams {
             ops_per_thread: 12,
             seed: 7,
             flavor: Flavor::Release,
-            model: ModelKind::Asap,
             max_bursts: 2_000_000,
         }
     }
@@ -122,20 +120,6 @@ pub fn lint_all_workloads(p: &AnalysisParams) -> LintRun {
     lint_run_with(&WorkloadKind::all(), p, waivers::BUILTIN_WAIVERS)
 }
 
-/// Simulate one workload with the journal enabled and run the
-/// happens-before persist-race detector over the result.
-pub fn race_check_workload(kind: WorkloadKind, p: &AnalysisParams) -> RaceReport {
-    let mut cfg = SimConfig::paper();
-    cfg.num_cores = cfg.num_cores.max(p.threads);
-    let programs = make_workload(kind, &p.workload_params());
-    let mut sim = SimBuilder::new(cfg, p.model, p.flavor)
-        .programs(programs)
-        .with_journal()
-        .build();
-    sim.run_to_completion();
-    sim.race_check()
-}
-
 /// Render a race report as lint-style findings (rule `persist-race`,
 /// severity error), so race results flow through the same waiver and
 /// report machinery as the static lint.
@@ -173,13 +157,6 @@ mod tests {
         assert!(report.complete, "extraction hit the burst budget");
         assert!(report.micro_ops > 0);
         assert_eq!(report.threads, 2);
-    }
-
-    #[test]
-    fn race_checks_a_real_workload_end_to_end() {
-        let report = race_check_workload(WorkloadKind::Queue, &quick());
-        assert!(report.epochs_with_writes > 0);
-        assert!(report.is_clean(), "unexpected races: {:?}", report.races);
     }
 
     #[test]
@@ -241,8 +218,34 @@ mod tests {
 
     #[test]
     fn race_findings_map_onto_lint_findings() {
-        let report = race_check_workload(WorkloadKind::Queue, &quick());
+        use asap_core::race::RaceEndpoint;
+        use asap_core::RaceFinding;
+        use asap_sim_core::{EpochId, LineAddr, ThreadId};
+
+        let race = RaceFinding {
+            line: LineAddr::containing(0x1040),
+            first: RaceEndpoint {
+                epoch: EpochId::new(ThreadId(1), 3),
+                seq: 17,
+            },
+            second: RaceEndpoint {
+                epoch: EpochId::new(ThreadId(0), 5),
+                seq: 21,
+            },
+        };
+        let report = RaceReport {
+            races: vec![race],
+            ..RaceReport::default()
+        };
         let fs = race_findings(&report);
         assert_eq!(fs.len(), report.races.len());
+        let f = &fs[0];
+        assert_eq!(f.rule, "persist-race");
+        assert_eq!(f.severity, Severity::Error);
+        assert_eq!((f.thread, f.op_index, f.epoch_ts), (1, 17, 3));
+        assert_eq!(f.line, Some(race.line));
+        assert_eq!(f.message, race.to_string());
+
+        assert!(race_findings(&RaceReport::default()).is_empty());
     }
 }

@@ -16,10 +16,11 @@
 //!
 //! 2. **persist-race detection** — a happens-before check over the write
 //!    journal and epoch dependency DAG of a *real* simulation run
-//!    (`asap_core::race`; driven per-workload by
-//!    [`driver::race_check_workload`]). Conflicting persists to the same
-//!    cache line that no fence/dependency chain orders are flagged as
-//!    races: after a crash, recovery could observe them in either order.
+//!    (`asap_core::race`; driven per-workload by the harness's
+//!    `run_race_check`, its findings mapped by [`driver::race_findings`]).
+//!    Conflicting persists to the same cache line that no
+//!    fence/dependency chain orders are flagged as races: after a crash,
+//!    recovery could observe them in either order.
 //!
 //! Known-benign findings in the shipped workloads are waived via the
 //! built-in [`waivers`] table; waived findings still appear in reports,

@@ -431,19 +431,6 @@ pub trait ThreadProgram {
     fn name(&self) -> &str {
         "anonymous"
     }
-
-    /// Clone this program into a fresh, pristine box, if the program
-    /// supports it.
-    ///
-    /// Programs are stateful generators, so a sweep cannot replay a
-    /// recorded trace — but it *can* stamp out copies of a
-    /// pristine (never-run) program set instead of re-running the
-    /// constructors for every sweep point. The workload suite overrides
-    /// this with a derived `Clone`; ad-hoc test programs (closures,
-    /// fixtures) keep the default `None` and are simply rebuilt.
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        None
-    }
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@ use asap_cache_sim::{CoherenceHub, CountingBloom, WriteBackBuffer};
 use asap_memctrl::MemController;
 use asap_pm_mem::{NvmImage, PmSpace, SnapshotPool, WriteJournal};
 use asap_sim_core::{
-    fnv1a_fold, Cycle, EpochId, EventQueue, Flavor, LineAddr, LineIdx, LineTable, McId, NullTracer,
-    Sampler, SimConfig, Stats, TextTracer, ThreadId, TraceRecord, Tracer, FNV_OFFSET,
+    fnv1a_fold, Cycle, EpochId, EventQueue, Flavor, LineAddr, LineIdx, LineTable, McId, Sampler,
+    SimConfig, Stats, TextTracer, ThreadId, TraceRecord, Tracer, FNV_OFFSET,
 };
 use std::collections::VecDeque;
 
@@ -144,14 +144,12 @@ pub(super) struct Engine {
     /// the run loop asks "all done?" once per event, and comparing one
     /// counter beats touching every core's (large) state block.
     pub done_count: usize,
-    /// Whether the tracer is live. Every emission site branches on this
-    /// plain bool (`ASAP_TRACE` is sampled once at construction: reading
-    /// the environment per event costs more than dispatch itself), so a
-    /// disabled tracer never reaches the sink.
-    pub trace_on: bool,
-    /// Structured trace sink (see [`asap_sim_core::Tracer`]). Observes
-    /// only; never schedules simulation work.
-    pub tracer: Box<dyn Tracer>,
+    /// Structured trace sink (see [`asap_sim_core::Tracer`]), if tracing
+    /// is on. Every emission site branches on `is_some` (`ASAP_TRACE` is
+    /// sampled once at construction: reading the environment per event
+    /// costs more than dispatch itself). Observes only; never schedules
+    /// simulation work.
+    pub tracer: Option<Box<dyn Tracer>>,
     /// Periodic occupancy/bandwidth sampler, if attached.
     pub sampler: Option<Sampler>,
     /// Crash-point collector for the crash-space explorer, if attached
@@ -253,8 +251,8 @@ impl Engine {
             done_count: 0,
             // `ASAP_TRACE=0` / `""` / `off` must stay silent; only truthy
             // values enable the default text sink.
-            trace_on: asap_sim_core::env_trace_enabled(),
-            tracer: Box::new(NullTracer),
+            tracer: asap_sim_core::env_trace_enabled()
+                .then(|| Box::new(TextTracer::stderr()) as Box<dyn Tracer>),
             sampler: None,
             collector: None,
             uses_pb,
@@ -264,9 +262,6 @@ impl Engine {
             commit_mcs_scratch: Vec::new(),
             commit_deps_scratch: Vec::new(),
         };
-        if eng.trace_on {
-            eng.tracer = Box::new(TextTracer::stderr());
-        }
         for c in &mut eng.cores {
             c.step_scheduled = true;
         }
@@ -354,10 +349,10 @@ impl Engine {
     // Observability
     // ---------------------------------------------------------------
 
-    /// Hand a record to the trace sink (no-op with tracing off; the
-    /// `trace_on` bool keeps the disabled path to a single branch).
+    /// Hand a record to the trace sink (no-op with tracing off: the
+    /// disabled path is a single branch).
     /// Boundary capture for the crash-point collector piggybacks here —
-    /// independent of `trace_on`, so explorer runs need no live tracer.
+    /// independent of the tracer, so explorer runs need no live sink.
     #[inline]
     pub(super) fn trace(&mut self, rec: TraceRecord) {
         if let Some(col) = self.collector.as_mut() {
@@ -365,8 +360,8 @@ impl Engine {
                 col.note_boundary(self.now.raw(), kind);
             }
         }
-        if self.trace_on {
-            self.tracer.record(self.now, rec);
+        if let Some(t) = self.tracer.as_mut() {
+            t.record(self.now, rec);
         }
     }
 

@@ -183,9 +183,8 @@ impl SimBuilder {
             model.uses_pb(),
             model.wants_background_flush(),
         );
-        if let Some(tracer) = self.tracer {
-            engine.tracer = tracer;
-            engine.trace_on = true;
+        if self.tracer.is_some() {
+            engine.tracer = self.tracer;
         }
         if let Some((every, out)) = self.sample {
             engine.sampler = Some(Sampler::new(every, out));

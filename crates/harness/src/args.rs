@@ -106,6 +106,17 @@ pub fn threads_config(args: &[String], default: usize) -> SimConfig {
         .unwrap_or_else(|e| usage_error(&format!("invalid value '{threads}' for --threads: {e}")))
 }
 
+/// Parse `--zipf THETA`, the Zipf skew of key popularity. Absent flag
+/// → `None`; `0` means uniform keys. A value outside `[0, 1)`, NaN
+/// included, exits with status 2 naming the flag.
+pub fn parse_zipf(args: &[String]) -> Option<f64> {
+    let theta = parse_arg::<f64>(args, "--zipf")?;
+    if !(0.0..1.0).contains(&theta) {
+        usage_error(&format!("--zipf must be within [0,1), got {theta}"));
+    }
+    Some(theta)
+}
+
 /// The sweep-wide flag set shared by every harness binary,
 /// replacing the per-binary copies of `--threads`/`--workers` parsing:
 ///

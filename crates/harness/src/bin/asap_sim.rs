@@ -70,7 +70,7 @@ fn run() -> i32 {
     let ops: u64 = parse_arg_or(&argv, "--ops", 200);
     let seed: u64 = parse_arg_or(&argv, "--seed", 42);
     let crash_at: Option<u64> = parse_arg(&argv, "--crash-at");
-    let zipf: Option<f64> = parse_arg(&argv, "--zipf");
+    let zipf = args::parse_zipf(&argv);
     let sample_every: u64 = parse_arg_or(&argv, "--sample-every", 10_000);
     let verify = args::has_flag(&argv, "--verify");
 

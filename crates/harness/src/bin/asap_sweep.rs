@@ -125,10 +125,7 @@ fn traffic_scale(argv: &[String], sa: &SweepArgs) -> TrafficScale {
         }
         scale.update_fraction = f;
     }
-    if let Some(theta) = parse_arg::<f64>(argv, "--zipf") {
-        if !(0.0..1.0).contains(&theta) {
-            usage_error(&format!("--zipf must be within [0,1), got {theta}"));
-        }
+    if let Some(theta) = args::parse_zipf(argv) {
         scale.zipf_theta = theta;
     }
     if let Some(seed) = sa.seed {

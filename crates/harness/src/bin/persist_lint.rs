@@ -14,14 +14,19 @@
 //! `--deny-warnings`, the CI gate — if *any* unwaived finding remains
 //! or the stale-waiver audit fires (a waiver this run could have
 //! exercised that matched nothing; see
-//! `asap_analysis::waivers::stale_waivers`). `--no-waivers` disables
-//! the built-in waiver table to show the raw findings.
+//! `asap_analysis::waivers::stale_waivers`); 2 on bad usage or an
+//! unwritable `--json` path, before anything is linted. `--no-waivers`
+//! disables the built-in waiver table to show the raw findings.
 
 use asap_analysis::driver::{lint_run_with, AnalysisParams};
 use asap_analysis::waivers::BUILTIN_WAIVERS;
-use asap_harness::args::{arg_value as arg, has_flag, parse_arg, parse_label, threads_config};
-use asap_sim_core::{Flavor, ModelKind};
+use asap_harness::args::{
+    arg_value as arg, has_flag, parse_arg, parse_label, threads_config, usage_error,
+};
+use asap_sim_core::Flavor;
 use asap_workloads::WorkloadKind;
+use std::fs::File;
+use std::io::Write;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -48,8 +53,6 @@ fn main() {
     if let Some(n) = parse_arg(&args, "--seed") {
         p.seed = n;
     }
-    // Lint never simulates; the model field only matters to race runs.
-    p.model = ModelKind::Asap;
 
     let kinds: Vec<WorkloadKind> = if has_flag(&args, "--all-workloads") {
         WorkloadKind::all().to_vec()
@@ -62,17 +65,28 @@ fn main() {
         BUILTIN_WAIVERS
     };
 
-    let json = arg(&args, "--json");
+    // The report file is opened before linting, so an unwritable path
+    // exits 2 with nothing printed.
+    let cannot_write = |path: &str, e: std::io::Error| -> ! {
+        usage_error(&format!("cannot write --json {path}: {e}"))
+    };
+    let json = arg(&args, "--json").map(|path| {
+        let file =
+            (path != "-").then(|| File::create(&path).unwrap_or_else(|e| cannot_write(&path, e)));
+        (path, file)
+    });
 
     let run = lint_run_with(&kinds, &p, waivers);
     print!("{}", run.to_text());
-    if let Some(path) = json {
-        if path == "-" {
-            println!("{}", run.to_json());
-        } else {
-            std::fs::write(&path, run.to_json()).expect("write JSON report");
+    match json {
+        Some((_, None)) => println!("{}", run.to_json()),
+        Some((path, Some(mut file))) => {
+            if let Err(e) = file.write_all(run.to_json().as_bytes()) {
+                cannot_write(&path, e);
+            }
             eprintln!("# JSON report written to {path}");
         }
+        None => {}
     }
 
     let errors: usize = run.reports.iter().map(|r| r.errors()).sum();

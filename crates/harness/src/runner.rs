@@ -1,13 +1,9 @@
 //! One-simulation runner: builds the system for a (config, model,
 //! flavour, workload) tuple and extracts the metrics the figures need.
 
-use asap_core::{Flavor, ModelKind, SimBuilder, ThreadProgram};
+use asap_core::{Flavor, ModelKind, SimBuilder};
 use asap_sim_core::{Cycle, SimConfig, Stats};
-use asap_workloads::{make_workload, make_workload_shared, WorkloadKind, WorkloadParams};
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex};
+use asap_workloads::{make_workload, WorkloadKind, WorkloadParams};
 use std::time::{Duration, Instant};
 
 /// Everything needed to reproduce one simulation.
@@ -153,103 +149,27 @@ fn params_for(spec: &RunSpec) -> WorkloadParams {
     }
 }
 
-/// A process-wide get-or-generate store: each distinct key's value is
-/// generated once, under the lock (so concurrent first requests wait
-/// instead of generating twice), and every caller shares one `Arc`.
-pub(crate) struct Bank<K, V> {
-    map: Mutex<HashMap<K, Arc<V>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+/// Does nothing: every leg generates its own programs. Kept only for the
+/// two `prewarm_workloads` call sites of the benchmark crate
+/// (`perfledger/src/jobs.rs`), which is changed only together with the
+/// benchmark; no harness code calls it.
+pub fn prewarm_workloads(_specs: &[RunSpec]) {}
 
-impl<K: Eq + Hash, V> Bank<K, V> {
-    pub(crate) fn new() -> Bank<K, V> {
-        Bank {
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The value under `key`, generated by `make` on the first request.
-    pub(crate) fn get(&self, key: K, make: impl FnOnce() -> V) -> Arc<V> {
-        let mut map = self.map.lock().expect("bank poisoned");
-        match map.entry(key) {
-            Entry::Occupied(e) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(e.get())
-            }
-            Entry::Vacant(e) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(e.insert(Arc::new(make())))
-            }
-        }
-    }
-
-    /// `(hits, misses)`: `misses` counts generator runs.
-    fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// Everything that feeds workload generation: the hardware config only
-/// matters through the core count ([`params_for`] defaults the rest of
-/// [`WorkloadParams`]), so two specs differing only in, say, RT size
-/// share one pristine program set.
-type BankKey = (WorkloadKind, usize, u64, u64);
-
-/// Process-wide bank of pristine (never-run) program sets: workload
-/// generation runs once per distinct `(workload, threads, ops, seed)`
-/// and every sweep point clones its programs from the shared set
-/// instead of re-running the generators. A derived clone of a never-run
-/// program is bit-identical to a freshly generated one, so outcomes (and
-/// the figure tables built from them) are unchanged — only the
-/// redundant generation work disappears.
-static WORKLOADS: LazyLock<Bank<BankKey, Vec<Box<dyn ThreadProgram + Send + Sync>>>> =
-    LazyLock::new(Bank::new);
-
-/// Fetch (or generate) the pristine set for `spec`, then stamp out this
-/// run's own copy. The suite workloads all support `boxed_clone`; if an
-/// unknown program ever does not, fall back to plain generation.
-fn programs_for(spec: &RunSpec) -> Vec<Box<dyn ThreadProgram>> {
-    let key = (
-        spec.workload,
-        spec.config.num_cores,
-        spec.ops_per_thread,
-        spec.seed,
-    );
-    let set = WORKLOADS.get(key, || {
-        make_workload_shared(spec.workload, &params_for(spec))
-    });
-    let cloned: Option<Vec<Box<dyn ThreadProgram>>> = set.iter().map(|p| p.boxed_clone()).collect();
-    cloned.unwrap_or_else(|| make_workload(spec.workload, &params_for(spec)))
-}
-
-/// Generate every pristine program set a sweep will need, on the calling
-/// thread. Sweeps work without this (the first run of each key fills
-/// the bank), but calling it first gives benches a clean
-/// workload-generation phase to time separately from simulation.
-pub fn prewarm_workloads(specs: &[RunSpec]) {
-    for spec in specs {
-        drop(programs_for(spec));
-    }
-}
-
-/// `(hits, misses)` of the process-wide workload bank: `misses` counts
-/// generator runs, `hits` counts sweep points served by cloning a
-/// shared pristine set.
+/// `(0, 0)`: there is no program bank to hit or miss. Kept only for the
+/// two `workload_bank_stats` call sites of the benchmark crate, like
+/// [`prewarm_workloads`].
 pub fn workload_bank_stats() -> (u64, u64) {
-    WORKLOADS.stats()
+    (0, 0)
 }
 
-fn build_sim(spec: &RunSpec) -> asap_core::Sim {
-    let programs = programs_for(spec);
+/// The one way a closed-loop leg is built: generate `spec`'s thread
+/// programs and hand them to a fresh builder. Legs share nothing:
+/// generating a set takes well under a microsecond and one allocation
+/// per program plus the vector, no more than cloning a shared set would
+/// (DESIGN.md §10).
+fn build_sim(spec: &RunSpec) -> SimBuilder {
     SimBuilder::new(spec.config.clone(), spec.model, spec.flavor)
-        .programs(programs)
-        .build()
+        .programs(make_workload(spec.workload, &params_for(spec)))
 }
 
 fn outcome(
@@ -278,7 +198,7 @@ fn outcome(
 /// Run the workload to completion and collect metrics.
 pub fn run_once(spec: &RunSpec) -> RunOutcome {
     let started = Instant::now();
-    let mut sim = build_sim(spec);
+    let mut sim = build_sim(spec).build();
     let out = sim.run_to_completion();
     outcome(&mut sim, out.all_done, spec, started)
 }
@@ -290,11 +210,7 @@ pub fn run_once(spec: &RunSpec) -> RunOutcome {
 /// the store count, so this is for analysis runs, not sweeps.
 pub fn run_race_check(spec: &RunSpec) -> (RunOutcome, asap_core::RaceReport) {
     let started = Instant::now();
-    let programs = programs_for(spec);
-    let mut sim = SimBuilder::new(spec.config.clone(), spec.model, spec.flavor)
-        .programs(programs)
-        .with_journal()
-        .build();
+    let mut sim = build_sim(spec).with_journal().build();
     let out = sim.run_to_completion();
     let report = sim.race_check();
     (outcome(&mut sim, out.all_done, spec, started), report)
@@ -305,7 +221,7 @@ pub fn run_race_check(spec: &RunSpec) -> (RunOutcome, asap_core::RaceReport) {
 /// large enough not to finish early (see [`RunSpec::windowed`]).
 pub fn run_window(spec: &RunSpec, window: Cycle) -> RunOutcome {
     let started = Instant::now();
-    let mut sim = build_sim(spec);
+    let mut sim = build_sim(spec).build();
     let out = sim.run_for(window);
     outcome(&mut sim, out.all_done, spec, started)
 }
@@ -355,36 +271,10 @@ mod tests {
         assert!(out.all_done);
         assert!(report.is_clean(), "races: {:?}", report.races);
         assert!(report.epochs_with_writes > 0);
-    }
-
-    #[test]
-    fn banked_clone_matches_fresh_generation() {
-        // run_once serves its programs from the shared pristine-set
-        // bank; a sim built from freshly generated programs (bypassing
-        // the bank) must land on the identical timeline.
-        let s = spec(ModelKind::Asap, WorkloadKind::Cceh);
-        let banked = run_once(&s);
-        let mut sim = SimBuilder::new(s.config.clone(), s.model, s.flavor)
-            .programs(make_workload(s.workload, &params_for(&s)))
-            .build();
-        let out = sim.run_to_completion();
-        assert!(out.all_done);
-        assert_eq!(banked.cycles, sim.now().raw());
-        assert_eq!(banked.media_writes, sim.media_writes());
-
-        let (hits, misses) = workload_bank_stats();
-        assert!(hits + misses > 0, "bank must have been consulted");
-    }
-
-    #[test]
-    fn prewarm_then_run_hits_the_bank() {
-        let s = spec(ModelKind::Hops, WorkloadKind::Heap);
-        prewarm_workloads(std::slice::from_ref(&s));
-        let (hits_before, _) = workload_bank_stats();
-        let out = run_once(&s);
-        assert!(out.all_done);
-        let (hits_after, _) = workload_bank_stats();
-        assert!(hits_after > hits_before, "prewarmed spec must hit the bank");
+        // `race_check` filters one lint-style finding per race through
+        // the waiver table.
+        let findings = asap_analysis::driver::race_findings(&report);
+        assert_eq!(findings.len(), report.races.len());
     }
 
     #[test]

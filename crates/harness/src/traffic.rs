@@ -6,13 +6,11 @@
 //! persistency model and reports the queueing/service latency split from
 //! bounded-memory [`LatencySplit`] reducers. Banks are generated once
 //! per distinct [`TrafficConfig`] and shared `Arc`'d across every leg
-//! that replays them (the workload bank's get-or-generate store);
-//! results are collected in input order, so the emitted table is
-//! identical at any `--workers` count.
+//! that replays them ([`request_bank`]); results are collected in input
+//! order, so the emitted table is identical at any `--workers` count.
 
 use crate::args::SweepArgs;
 use crate::report::Table;
-use crate::runner::Bank;
 use asap_core::{SimBuilder, ThreadProgram};
 use asap_sim_core::{Flavor, LatencySplit, ModelKind, SimConfig};
 use asap_workloads::traffic::{
@@ -20,9 +18,10 @@ use asap_workloads::traffic::{
     Request, RequestService, TrafficConfig,
 };
 use asap_workloads::WorkloadParams;
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, LazyLock};
+use std::sync::{Arc, LazyLock, Mutex};
 
 /// The WHISPER apps that can serve an open-loop request stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,11 +167,19 @@ fn bank_key(cfg: &TrafficConfig) -> BankKey {
 
 /// Process-wide bank of generated request streams: generation runs once
 /// per distinct [`TrafficConfig`] and every leg replaying that config
-/// shares the same immutable `Arc`'d bank (the same `Bank` as the
-/// closed-loop sweeps' pristine program sets).
+/// shares the same immutable `Arc`'d bank. A set costs milliseconds to
+/// generate and a sweep replays it on every (app, model) leg, so it is
+/// generated under the lock: concurrent first requests wait instead of
+/// generating twice.
 pub fn request_bank(cfg: &TrafficConfig) -> Arc<Vec<Request>> {
-    static BANKS: LazyLock<Bank<BankKey, Vec<Request>>> = LazyLock::new(Bank::new);
-    BANKS.get(bank_key(cfg), || generate(cfg))
+    static BANKS: LazyLock<Mutex<HashMap<BankKey, Arc<Vec<Request>>>>> =
+        LazyLock::new(Mutex::default);
+    let mut banks = BANKS.lock().expect("request bank poisoned");
+    Arc::clone(
+        banks
+            .entry(bank_key(cfg))
+            .or_insert_with(|| Arc::new(generate(cfg))),
+    )
 }
 
 /// Run one leg over an explicit bank (the `--replay` path; the bank need

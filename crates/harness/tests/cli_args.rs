@@ -122,7 +122,8 @@ fn unknown_workload_model_flavor_exit_two_listing_known_ones() {
 #[test]
 fn zero_valued_flags_exit_two_naming_the_flag() {
     // Each of these used to panic (exit 101), or for persist_lint lint
-    // zero threads and exit 0.
+    // zero threads and exit 0. Beside the zeros the simulator cannot run
+    // with: a `--zipf` skew outside [0, 1) and an unwritable `--json`.
     let samples = std::env::temp_dir().join(format!("zero_every_{}.csv", std::process::id()));
     let samples = samples.to_str().expect("utf8 temp path");
     for (bin, argv, flag) in [
@@ -145,6 +146,26 @@ fn zero_valued_flags_exit_two_naming_the_flag() {
             env!("CARGO_BIN_EXE_persist_lint"),
             vec!["--workload", "queue", "--threads", "0"],
             "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_asap_sim"),
+            vec!["--zipf", "2.0"],
+            "--zipf",
+        ),
+        (
+            env!("CARGO_BIN_EXE_asap_sim"),
+            vec!["--zipf", "-1"],
+            "--zipf",
+        ),
+        (
+            env!("CARGO_BIN_EXE_asap_sim"),
+            vec!["--zipf", "nan"],
+            "--zipf",
+        ),
+        (
+            env!("CARGO_BIN_EXE_persist_lint"),
+            vec!["--workload", "queue", "--json", "/nonexistent/dir/x.json"],
+            "--json",
         ),
     ] {
         let out = Command::new(bin).args(&argv).output().expect("spawn");

@@ -1,8 +1,11 @@
-//! End-to-end tests for the `crash_explore` binary: worker-count
-//! independence of the report bytes, the broken-model fixture contract,
-//! the coverage assertions, strict flag values, and the chunk-granular
-//! result cache.
+//! End-to-end tests for the `crash_explore` binary: agreement with the
+//! serial `explore_all` driver, worker-count independence of the report
+//! bytes, the broken-model fixture contract, the coverage assertions,
+//! strict flag values, and the chunk-granular result cache.
 
+use asap_analysis::explore::{explore_all, ExploreParams};
+use asap_sim_core::ModelKind;
+use asap_workloads::WorkloadKind;
 use std::process::{Command, Output};
 
 fn explore(args: &[&str]) -> Output {
@@ -31,6 +34,34 @@ const QUICK: &[&str] = &[
     "--chunk",
     "64",
 ];
+
+#[test]
+fn binary_prints_exactly_what_explore_all_reports() {
+    // The binary runs the verify chunks as sweep-executor legs; the
+    // serial driver runs them in a loop. Both must print the same bytes.
+    let broken = ExploreParams {
+        workloads: vec![WorkloadKind::Queue],
+        models: vec![ModelKind::Asap],
+        broken_undo_every: 1,
+        ..ExploreParams::default()
+    };
+    let broken_flags: &[&str] = &[
+        "--workloads",
+        "queue",
+        "--models",
+        "asap",
+        "--broken-fixture",
+        "--expect-violation",
+    ];
+    for (flags, p) in [(&[][..], ExploreParams::default()), (broken_flags, broken)] {
+        let argv: Vec<&str> = flags.iter().copied().chain(["--json", "-"]).collect();
+        let out = explore(&argv);
+        assert!(out.status.success(), "{argv:?}: {}", stderr_of(&out));
+        let report = explore_all(&p);
+        let expected = format!("{}{}\n", report.to_text(), report.to_json());
+        assert_eq!(stdout_of(&out), expected, "{argv:?}");
+    }
+}
 
 #[test]
 fn report_is_byte_identical_at_any_worker_count() {

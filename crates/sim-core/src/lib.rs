@@ -22,7 +22,7 @@
 //! * [`LineTable`] — per-run address interning ([`LineAddr`] →
 //!   dense [`LineIdx`]) so hot per-line state can live in flat vectors
 //!   with deterministic first-touch iteration order.
-//! * [`Tracer`] — structured trace sinks ([`NullTracer`], [`TextTracer`],
+//! * [`Tracer`] — structured trace sinks ([`TextTracer`],
 //!   Chrome/Perfetto-format [`ChromeTracer`]) fed typed [`TraceRecord`]s
 //!   by the engine, and [`Sampler`] — a periodic occupancy/bandwidth
 //!   time-series recorder. Both observe only; they never schedule
@@ -68,6 +68,6 @@ pub use sample::Sampler;
 pub use stats::{StatMut, StatRef, StatSnapshot, Stats};
 pub use time::{Cycle, CYCLES_PER_NS};
 pub use trace::{
-    env_trace_enabled, render_record, trace_value_enables, ChromeTracer, NullTracer, SharedBuf,
-    TextTracer, TraceRecord, Tracer,
+    env_trace_enabled, render_record, trace_value_enables, ChromeTracer, SharedBuf, TextTracer,
+    TraceRecord, Tracer,
 };

@@ -6,9 +6,6 @@
 //! unstructured debug dump. Records flow into a pluggable [`Tracer`]
 //! sink:
 //!
-//! * [`NullTracer`] — discards everything. The engine additionally gates
-//!   every emission site on a plain `bool`, so a disabled tracer costs
-//!   one predictable branch on the hot path.
 //! * [`TextTracer`] — human-readable lines (one per record) to any
 //!   writer; the `ASAP_TRACE=1` default sink, replacing the old raw
 //!   `eprintln!` event dump.
@@ -17,6 +14,9 @@
 //!   (one track per core), memory-controller records on process 1 (one
 //!   track per MC). Stall records map to `B`/`E` duration spans so stall
 //!   windows are visible as bars; everything else is an instant.
+//!
+//! The engine holds its sink as an `Option`, so running without a
+//! tracer costs one predictable branch per emission site.
 //!
 //! Sinks **observe, never schedule**: a tracer cannot alter simulated
 //! time, so golden timing fixtures are unaffected by tracing.
@@ -145,15 +145,6 @@ pub enum TraceRecord {
 pub trait Tracer: Send {
     /// Consume one record emitted at simulated time `at`.
     fn record(&mut self, at: Cycle, rec: TraceRecord);
-}
-
-/// The disabled sink: drops everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    #[inline]
-    fn record(&mut self, _at: Cycle, _rec: TraceRecord) {}
 }
 
 // -------------------------------------------------------------------
@@ -490,14 +481,6 @@ mod tests {
         assert_eq!(s.lines().count(), 2);
         assert!(s.contains("core2 epoch.commit ts=4"));
         assert!(s.contains("sim crash"));
-    }
-
-    #[test]
-    fn null_tracer_is_silent() {
-        // Mostly a compile-time statement: NullTracer is a unit type the
-        // engine can branch around.
-        let mut t = NullTracer;
-        t.record(Cycle(1), TraceRecord::Crash);
     }
 
     #[test]

@@ -23,7 +23,6 @@ pub(crate) const MASTER_SLOTS: u64 = 1 << 12;
 pub const BATCH: u64 = 8;
 
 /// Echo KV-store workload.
-#[derive(Clone)]
 pub struct Echo {
     tid: usize,
     rng: DetRng,
@@ -88,10 +87,6 @@ impl Echo {
 }
 
 impl ThreadProgram for Echo {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         init_once(ctx, ECHO_INIT_FLAG, |_| {});
 

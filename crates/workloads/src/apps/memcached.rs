@@ -23,7 +23,6 @@ pub(crate) fn bucket_addr(key: u64) -> u64 {
     BUCKET_REGION + (fnv1a(key) % BUCKETS) * 64
 }
 
-#[derive(Clone)]
 enum Phase {
     Idle,
     Locked {
@@ -34,7 +33,6 @@ enum Phase {
 }
 
 /// Memcached SET/GET workload.
-#[derive(Clone)]
 pub struct Memcached {
     #[allow(dead_code)]
     tid: usize,
@@ -98,10 +96,6 @@ impl Memcached {
 }
 
 impl ThreadProgram for Memcached {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         init_once(ctx, MC_INIT_FLAG, |_| {});
 

@@ -22,7 +22,6 @@ const LOG_SLOTS: u64 = 2048;
 const SHARED_ROWS: u64 = 64;
 
 /// Nstore transactional workload.
-#[derive(Clone)]
 pub struct Nstore {
     tid: usize,
     rng: DetRng,
@@ -138,10 +137,6 @@ impl Nstore {
 }
 
 impl ThreadProgram for Nstore {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, _tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         init_once(ctx, NSTORE_INIT_FLAG, |_| {});
         if self.ops_left == 0 {

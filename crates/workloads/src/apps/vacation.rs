@@ -27,7 +27,6 @@ const LOG_SLOTS: u64 = 2048;
 pub const BOOKKEEPING_CYCLES: u64 = 1500;
 
 /// Vacation reservation workload.
-#[derive(Clone)]
 pub struct Vacation {
     #[allow(dead_code)]
     tid: usize,
@@ -78,10 +77,6 @@ impl Vacation {
 }
 
 impl ThreadProgram for Vacation {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         init_once(ctx, VAC_INIT_FLAG, |_| {});
         if !self.busy {

@@ -36,7 +36,6 @@ pub(crate) fn radix_byte(h: u64, level: u32) -> u64 {
 }
 
 /// P-ART insert/lookup workload.
-#[derive(Clone)]
 pub struct PArt {
     #[allow(dead_code)]
     tid: usize,
@@ -172,10 +171,6 @@ impl PArt {
 }
 
 impl ThreadProgram for PArt {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, _tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         init_once(ctx, ART_INIT_FLAG, |c| Self::setup(c, &mut self.arena));
         if self.ops_left == 0 {

@@ -24,7 +24,6 @@ pub(crate) fn elem(i: u64) -> u64 {
 }
 
 /// Atlas heap workload: alternating insert / pop-min under one lock.
-#[derive(Clone)]
 pub struct AtlasHeap {
     #[allow(dead_code)]
     tid: usize,
@@ -110,10 +109,6 @@ impl AtlasHeap {
 }
 
 impl ThreadProgram for AtlasHeap {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         init_once(ctx, HEAP_INIT_FLAG, |_| {});
         if self.pending.is_none() {

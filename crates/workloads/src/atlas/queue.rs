@@ -23,7 +23,6 @@ const LOG_REGION: u64 = STATIC_BASE + 0x0500_0000;
 const NODE_BYTES: u64 = 64;
 
 /// Atlas queue workload: 50/50 enqueue/dequeue under one lock.
-#[derive(Clone)]
 pub struct AtlasQueue {
     #[allow(dead_code)]
     tid: usize,
@@ -86,10 +85,6 @@ impl AtlasQueue {
 }
 
 impl ThreadProgram for AtlasQueue {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         init_once(ctx, Q_INIT_FLAG, |c| Self::setup(c, &mut self.arena));
         if self.pending.is_none() {

@@ -29,7 +29,6 @@ pub(crate) fn next_addr(node: u64, level: u64) -> u64 {
 }
 
 /// Atlas skip-list workload: insert/delete/search mix under one lock.
-#[derive(Clone)]
 pub struct AtlasSkiplist {
     #[allow(dead_code)]
     tid: usize,
@@ -144,10 +143,6 @@ impl AtlasSkiplist {
 }
 
 impl ThreadProgram for AtlasSkiplist {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         init_once(ctx, SL_INIT_FLAG, |c| Self::setup(c, &mut self.arena));
         if self.pending.is_none() {

@@ -16,7 +16,6 @@ const BW_REGION: u64 = STATIC_BASE + 0x1000_0000;
 pub const BLOCK_BYTES: u64 = 256;
 
 /// Figure 13 microbenchmark program.
-#[derive(Clone)]
 pub struct Bandwidth {
     tid: usize,
     ops_left: u64,
@@ -47,10 +46,6 @@ impl Bandwidth {
 }
 
 impl ThreadProgram for Bandwidth {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, _tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         if self.ops_left == 0 {
             ctx.dfence();

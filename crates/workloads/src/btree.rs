@@ -41,7 +41,6 @@ pub(crate) fn pair_addr(node: u64, i: u64) -> u64 {
 }
 
 /// In-flight multi-burst operation state.
-#[derive(Clone)]
 enum Phase {
     Idle,
     /// Waiting on a leaf lock; on entry the critical section runs the
@@ -56,7 +55,6 @@ enum Phase {
 }
 
 /// FAST&FAIR B+-tree workload (also the P-Masstree stand-in).
-#[derive(Clone)]
 pub struct FastFair {
     #[allow(dead_code)]
     tid: usize,
@@ -256,10 +254,6 @@ impl FastFair {
 }
 
 impl ThreadProgram for FastFair {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         init_once(ctx, BT_INIT_FLAG, |c| Self::setup(c, &mut self.arena));
 

@@ -35,7 +35,6 @@ pub(crate) fn next_addr(bucket: u64) -> u64 {
     bucket + 48
 }
 
-#[derive(Clone)]
 enum Phase {
     Idle,
     Locked {
@@ -47,7 +46,6 @@ enum Phase {
 }
 
 /// P-CLHT update-heavy workload.
-#[derive(Clone)]
 pub struct PClht {
     #[allow(dead_code)]
     tid: usize,
@@ -128,10 +126,6 @@ impl PClht {
 }
 
 impl ThreadProgram for PClht {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         init_once(ctx, CLHT_INIT_FLAG, |_| {
             // Buckets live in a statically-addressed zeroed region: no

@@ -62,7 +62,7 @@ pub(crate) fn slot_addr(bucket: u64, s: u64) -> u64 {
 
 /// What the program is currently doing (inserts span multiple bursts
 /// when locks or splits are involved).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Phase {
     Idle,
     /// Dash: waiting on a bucket lock for (key, bucket line).
@@ -81,7 +81,6 @@ enum Phase {
 }
 
 /// CCEH / Dash-EH insert-heavy workload.
-#[derive(Clone)]
 pub struct ExtHash {
     #[allow(dead_code)]
     tid: usize,
@@ -294,10 +293,6 @@ impl ExtHash {
 }
 
 impl ThreadProgram for ExtHash {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         init_once(ctx, EXT_INIT_FLAG, |c| Self::setup(c, &mut self.arena));
 

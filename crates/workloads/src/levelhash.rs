@@ -46,7 +46,6 @@ pub(crate) fn pair_addr(bucket: u64, i: u64) -> u64 {
     bucket + i * 16
 }
 
-#[derive(Clone)]
 enum Phase {
     Idle,
     /// Holding/awaiting one candidate bucket's lock.
@@ -66,7 +65,6 @@ enum Phase {
 }
 
 /// Dash-LH insert-heavy workload.
-#[derive(Clone)]
 pub struct LevelHash {
     #[allow(dead_code)]
     tid: usize,
@@ -139,10 +137,6 @@ impl LevelHash {
 }
 
 impl ThreadProgram for LevelHash {
-    fn boxed_clone(&self) -> Option<Box<dyn ThreadProgram>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_burst(&mut self, tid: ThreadId, ctx: &mut BurstCtx<'_>) -> BurstStatus {
         init_once(ctx, LH_INIT_FLAG, |_| {});
 

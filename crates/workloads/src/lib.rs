@@ -151,11 +151,7 @@ impl FromStr for WorkloadKind {
     }
 }
 
-fn make_program(
-    kind: WorkloadKind,
-    t: usize,
-    params: &WorkloadParams,
-) -> Box<dyn ThreadProgram + Send + Sync> {
+fn make_program(kind: WorkloadKind, t: usize, params: &WorkloadParams) -> Box<dyn ThreadProgram> {
     use WorkloadKind::*;
     match kind {
         Nstore => Box::new(apps::nstore::Nstore::new(t, params)),
@@ -180,20 +176,6 @@ fn make_program(
 /// one structure instance.
 pub fn make_workload(kind: WorkloadKind, params: &WorkloadParams) -> Vec<Box<dyn ThreadProgram>> {
     (0..params.threads)
-        .map(|t| make_program(kind, t, params) as Box<dyn ThreadProgram>)
-        .collect()
-}
-
-/// [`make_workload`], but the boxes are `Send + Sync` so a pristine
-/// program set can sit behind an `Arc` shared across sweep workers, each
-/// worker stamping out its own copy via
-/// [`ThreadProgram::boxed_clone`]. Every suite workload supports
-/// cloning, so `p.boxed_clone().unwrap()` never fails on these sets.
-pub fn make_workload_shared(
-    kind: WorkloadKind,
-    params: &WorkloadParams,
-) -> Vec<Box<dyn ThreadProgram + Send + Sync>> {
-    (0..params.threads)
         .map(|t| make_program(kind, t, params))
         .collect()
 }
@@ -214,26 +196,6 @@ mod tests {
     #[test]
     fn all_lists_fourteen() {
         assert_eq!(WorkloadKind::all().len(), 14);
-    }
-
-    #[test]
-    fn every_suite_workload_supports_pristine_cloning() {
-        let params = WorkloadParams {
-            threads: 2,
-            ops_per_thread: 5,
-            seed: 3,
-            ..Default::default()
-        };
-        for k in WorkloadKind::all()
-            .into_iter()
-            .chain([WorkloadKind::Bandwidth])
-        {
-            for p in make_workload_shared(k, &params) {
-                let c = p.boxed_clone();
-                assert!(c.is_some(), "{k}: suite programs must be cloneable");
-                assert_eq!(c.unwrap().name(), p.name(), "{k}");
-            }
-        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!     > tests/fixtures/lint_golden.txt
 //! ```
 
-use asap::analysis::driver::{lint_all_workloads, race_check_workload, AnalysisParams};
+use asap::analysis::driver::{lint_all_workloads, AnalysisParams};
+use asap::harness::{run_race_check, RunSpec};
+use asap::sim::{Flavor, ModelKind, SimConfig};
 use asap::workloads::WorkloadKind;
 
 #[test]
@@ -37,9 +39,19 @@ fn suite_has_no_unwaived_findings() {
 
 #[test]
 fn suite_is_persist_race_free() {
-    let p = AnalysisParams::default();
+    // The leg CI's `race_check --all-workloads` runs: 2 cores, 12 ops
+    // per thread, seed 7, ASAP under release persistency.
+    let config = SimConfig::builder().cores(2).build().expect("2 cores");
     for kind in WorkloadKind::all() {
-        let report = race_check_workload(kind, &p);
+        let spec = RunSpec {
+            config: config.clone(),
+            model: ModelKind::Asap,
+            flavor: Flavor::Release,
+            workload: kind,
+            ops_per_thread: 12,
+            seed: 7,
+        };
+        let (_, report) = run_race_check(&spec);
         assert!(!report.cycle, "{kind}: dependency cycle");
         assert!(
             report.is_clean(),
