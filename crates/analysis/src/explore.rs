@@ -135,6 +135,15 @@ impl Default for ExploreParams {
 }
 
 impl ExploreParams {
+    /// The simulated machine: the paper configuration with at least
+    /// [`ExploreParams::threads`] cores. Both passes run on it, and the
+    /// outcome cache keys verify chunks by its digest.
+    pub fn config(&self) -> SimConfig {
+        let mut cfg = SimConfig::paper();
+        cfg.num_cores = cfg.num_cores.max(self.threads);
+        cfg
+    }
+
     fn workload_params(&self) -> WorkloadParams {
         WorkloadParams {
             threads: self.threads,
@@ -159,10 +168,8 @@ impl ExploreParams {
 /// Build the simulation for one config — shared by both passes so the
 /// verify re-runs replay exactly the run the collector observed.
 fn build_sim(p: &ExploreParams, workload: WorkloadKind, model: ModelKind, collect: bool) -> Sim {
-    let mut cfg = SimConfig::paper();
-    cfg.num_cores = cfg.num_cores.max(p.threads);
     let programs = make_workload(workload, &p.workload_params());
-    let mut b = SimBuilder::new(cfg, model, p.flavor)
+    let mut b = SimBuilder::new(p.config(), model, p.flavor)
         .programs(programs)
         .with_journal();
     if collect {

@@ -99,7 +99,6 @@ pub struct EpochTable {
     opened_any: bool,
     capacity: usize,
     last_committed: Option<u64>,
-    max_occupancy: usize,
     /// Free-list of committed entries awaiting reuse (their internal
     /// vectors keep their capacity across the recycle).
     spare: Vec<EpochEntry>,
@@ -115,7 +114,6 @@ impl EpochTable {
             opened_any: false,
             capacity,
             last_committed: None,
-            max_occupancy: 0,
             spare: Vec::new(),
         }
     }
@@ -139,11 +137,6 @@ impl EpochTable {
     /// Whether every epoch has committed (dfence release condition).
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// High-water mark of occupancy.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
     }
 
     /// Position of epoch `ts` in the deque, if in flight.
@@ -192,7 +185,6 @@ impl EpochTable {
         assert!(ts >= next, "epoch {ts} opened twice");
         assert_eq!(ts, next, "epochs must open in consecutive ts order");
         self.entries.push_back(self.spare.pop().unwrap_or_default());
-        self.max_occupancy = self.max_occupancy.max(self.entries.len());
     }
 
     /// Status of epoch `ts`.
@@ -483,7 +475,7 @@ mod tests {
             t.open(ts);
         }
         assert!(t.is_full());
-        assert_eq!(t.max_occupancy(), 4);
+        assert_eq!(t.len(), 4);
         t.close(0);
         begin_commit(&mut t, 0);
         finish_commit(&mut t, 0);

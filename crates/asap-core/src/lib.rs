@@ -13,7 +13,10 @@
 //! * [`ModelKind::Asap`] — the paper's design: **eager, possibly
 //!   out-of-order flushing** with *early* bits, speculative memory
 //!   updates guarded by per-MC **recovery tables**, commit/CDR
-//!   messages, and NACK fallback to conservative flushing;
+//!   messages, and NACK fallback to conservative flushing (the §V-F
+//!   write-back buffer and NACK Bloom filter are not modelled: the
+//!   caches never write a PM line back, so there is no eviction for
+//!   them to hold back);
 //! * [`ModelKind::Eadr`] — eADR: everything in the cache hierarchy is
 //!   effectively durable, fences are (nearly) free. The "ideal" bound.
 //! * [`ModelKind::Bbb`] — BBB: battery-backed persist buffers — durable

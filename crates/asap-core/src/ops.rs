@@ -166,25 +166,8 @@ impl<'a> BurstCtx<'a> {
     }
 
     /// Like [`BurstCtx::new`], with store payload boxes drawn from (and
-    /// eventually recycled to) `pool`.
-    pub fn with_pool(
-        pm: &'a mut PmSpace,
-        journal: &'a mut WriteJournal,
-        pool: &'a mut SnapshotPool,
-    ) -> BurstCtx<'a> {
-        BurstCtx {
-            pm,
-            journal,
-            pool: Some(pool),
-            ops: Vec::new(),
-            ops_completed: 0,
-            preinit_lines: Vec::new(),
-            now: Cycle::ZERO,
-        }
-    }
-
-    /// Like [`BurstCtx::with_pool`], additionally reusing caller-owned op
-    /// and preinit buffers (cleared here). The engine round-trips its
+    /// eventually recycled to) `pool`, and reusing caller-owned op and
+    /// preinit buffers (cleared here). The engine round-trips its
     /// scratch buffers through every burst so steady-state burst
     /// generation allocates nothing; [`BurstCtx::into_parts`] hands the
     /// (possibly re-grown) buffers back.
@@ -226,19 +209,6 @@ impl<'a> BurstCtx<'a> {
     pub fn load_u64(&mut self, addr: u64) -> u64 {
         self.ops.push(MemOp::Load { addr });
         self.pm.read_u64(addr)
-    }
-
-    /// Functional read of raw bytes; emits one load per touched line.
-    pub fn load_bytes(&mut self, addr: u64, buf: &mut [u8]) {
-        let mut line = LineAddr::containing(addr);
-        let end = addr + buf.len() as u64;
-        while line.byte_addr() < end {
-            self.ops.push(MemOp::Load {
-                addr: line.byte_addr().max(addr),
-            });
-            line = LineAddr::containing(line.byte_addr() + 64);
-        }
-        self.pm.read_bytes(addr, buf);
     }
 
     fn journal_store(&mut self, addr: u64) -> (WriteSeq, Box<LineSnapshot>) {

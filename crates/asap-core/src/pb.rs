@@ -63,10 +63,6 @@ pub struct PersistBuffer {
     entries: VecDeque<PbEntry>,
     capacity: usize,
     next_id: u64,
-    coalesced: u64,
-    /// Monotone count of entries fully flushed (acked) — the "tail index"
-    /// the write-back buffer compares against (§V-F).
-    flushed_count: u64,
     /// How many entries sit in `Waiting` state, maintained across state
     /// transitions: the blocked-PB accounting asks on almost every event,
     /// and an O(1) answer also lets [`PersistBuffer::next_flushable`]
@@ -78,9 +74,8 @@ pub struct PersistBuffer {
     /// no pending retries.
     nacked: usize,
     /// Distinct lines present with their entry counts, maintained on
-    /// enqueue/ack: `holds_line` runs on every LLC-miss load and every
-    /// dirty private eviction, and scanning 12-byte pairs beats walking
-    /// the (much wider) entry deque.
+    /// enqueue/ack: `holds_line` runs on every LLC-miss load, and
+    /// scanning 12-byte pairs beats walking the (much wider) entry deque.
     present: Vec<(u64, u32)>,
     /// Reusable scan state for [`PersistBuffer::next_flushable`] (in a
     /// `RefCell` because the scan is logically read-only and its callers
@@ -212,8 +207,6 @@ impl PersistBuffer {
             entries: VecDeque::with_capacity(capacity),
             capacity,
             next_id: 0,
-            coalesced: 0,
-            flushed_count: 0,
             waiting: 0,
             nacked: 0,
             present: Vec::with_capacity(capacity),
@@ -243,16 +236,6 @@ impl PersistBuffer {
         self.capacity
     }
 
-    /// Stores absorbed by intra-epoch coalescing.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
-    }
-
-    /// Monotone count of acked (removed) entries.
-    pub fn flushed_count(&self) -> u64 {
-        self.flushed_count
-    }
-
     /// Enqueue a store. Returns `Ok(None)` if a new entry was allocated,
     /// `Ok(Some(displaced))` if it coalesced into an existing same-line
     /// same-epoch entry that had not been issued yet (handing back the
@@ -278,7 +261,6 @@ impl PersistBuffer {
             if e.line == line && e.epoch == epoch && e.state == PbEntryState::Waiting {
                 let displaced = std::mem::replace(&mut e.data, data);
                 e.seq = seq;
-                self.coalesced += 1;
                 self.version += 1;
                 return Ok(Some(displaced));
             }
@@ -442,10 +424,9 @@ impl PersistBuffer {
     }
 
     /// Remove an acked entry; returns it (the caller updates the epoch
-    /// table). Advances the flushed counter for WBB bookkeeping.
+    /// table).
     pub fn ack(&mut self, id: u64) -> Option<PbEntry> {
         let pos = self.entries.iter().position(|e| e.id == id)?;
-        self.flushed_count += 1;
         self.version += 1;
         let e = self.entries.remove(pos);
         if let Some(e) = e.as_ref() {
@@ -470,8 +451,7 @@ impl PersistBuffer {
         self.entries.iter().find(|e| e.id == id)
     }
 
-    /// Whether the buffer holds data for `line` (load forwarding / LLC
-    /// eviction checks).
+    /// Whether the buffer holds data for `line` (load forwarding).
     pub fn holds_line(&self, line: LineAddr) -> bool {
         let key = line.index();
         self.present.iter().any(|&(l, _)| l == key)
@@ -523,7 +503,6 @@ mod tests {
         // Coalescing hands the displaced buffer back for recycling.
         assert_eq!(pb.enqueue(la(0), data(9), 3, ep(0)), Ok(Some(data(1))));
         assert_eq!(pb.len(), 1);
-        assert_eq!(pb.coalesced(), 1);
         let e = pb.iter().next().unwrap();
         assert_eq!(e.seq, 3);
         assert_eq!(e.data[0], 9);
@@ -586,7 +565,6 @@ mod tests {
         let e = pb.ack(id).unwrap();
         assert_eq!(e.line, la(0));
         assert!(pb.is_empty());
-        assert_eq!(pb.flushed_count(), 1);
         assert!(pb.ack(id).is_none());
     }
 

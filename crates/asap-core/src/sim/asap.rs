@@ -67,7 +67,7 @@ impl PersistencyModel for AsapModel {
         } else {
             // NACK: fall back to conservative flushing until the
             // *current* epoch commits (§V-D).
-            eng.nack_pb_flush(tid, entry_id);
+            eng.cores[tid].pb.mark_nacked(entry_id);
             if !self.conservative[tid] {
                 self.conservative[tid] = true;
                 self.conservative_exit_ts[tid] = eng.cores[tid].cur_ts;

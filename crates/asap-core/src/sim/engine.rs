@@ -8,7 +8,7 @@ use super::model::PersistencyModel;
 use crate::deps::DepGraph;
 use crate::ops::{MemOp, ThreadProgram};
 use crate::pb::PersistBuffer;
-use asap_cache_sim::{CoherenceHub, CountingBloom, WriteBackBuffer};
+use asap_cache_sim::CoherenceHub;
 use asap_memctrl::MemController;
 use asap_pm_mem::{NvmImage, PmSpace, SnapshotPool, WriteJournal};
 use asap_sim_core::{
@@ -54,9 +54,6 @@ pub(super) struct Core {
     pub pb_occ_last: Cycle,
     pub pb_blocked_since: Option<Cycle>,
     pub ops_completed: u64,
-    /// Write-back buffer (§V-F): parks dirty private-cache evictions
-    /// whose line still has preceding writes in the persist buffer.
-    pub wbb: WriteBackBuffer,
 }
 
 impl Core {
@@ -128,17 +125,14 @@ pub(super) struct Engine {
     /// store → persist buffer → flush → ack: steady state allocates
     /// nothing per store (the pool's counters are the audit).
     pub snap_pool: SnapshotPool,
-    /// Per-run address interning for engine-side per-line state (the WBB
-    /// and the release map). The coherence hub and each memory controller
+    /// Per-run address interning for engine-side per-line state (the
+    /// release map). The coherence hub and each memory controller
     /// own their *own* tables: indices are component-local and never cross
     /// an API boundary.
     pub lines: LineTable,
     /// Release persistency: last release-store epoch per interned line
     /// (`release_map[idx]`, indexed through [`Engine::lines`]).
     pub release_map: Vec<Option<EpochId>>,
-    /// Per-MC counting Bloom filters of NACKed flush addresses (§V-F):
-    /// LLC evictions of a filtered line must wait for the retry.
-    pub nack_filters: Vec<CountingBloom>,
     pub events_processed: u64,
     /// How many cores have finished (mirrors the per-core `done` flags):
     /// the run loop asks "all done?" once per event, and comparing one
@@ -207,7 +201,6 @@ impl Engine {
                 pb_occ_last: Cycle::ZERO,
                 pb_blocked_since: None,
                 ops_completed: 0,
-                wbb: WriteBackBuffer::new(8),
             });
         }
         let hub = CoherenceHub::new(&cfg);
@@ -222,9 +215,6 @@ impl Engine {
         for i in 0..n {
             queue.push(Cycle::ZERO, Event::CoreStep(i));
         }
-        let nack_filters = (0..cfg.num_mcs)
-            .map(|_| CountingBloom::new(1024, 3))
-            .collect();
         let mut eng = Engine {
             cfg,
             flavor,
@@ -246,7 +236,6 @@ impl Engine {
             snap_pool: SnapshotPool::new(),
             lines: LineTable::new(),
             release_map: Vec::new(),
-            nack_filters,
             events_processed: 0,
             done_count: 0,
             // `ASAP_TRACE=0` / `""` / `off` must stay silent; only truthy

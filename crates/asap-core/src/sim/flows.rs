@@ -157,7 +157,6 @@ impl Engine {
             }
         }
         self.stats.loads += 1;
-        self.park_eviction(t, out.evicted_dirty);
         if let Some(src) = out.dirty_supplier {
             self.handle_ep_conflict(m, t, src);
         }
@@ -165,25 +164,6 @@ impl Engine {
             self.handle_acquire(m, t, line);
         }
         lat
-    }
-
-    /// §V-F: a dirty private-cache eviction whose line still has pending
-    /// persist-buffer writes parks in the write-back buffer until the PB
-    /// flushes past the recorded tail index (evicted PM lines otherwise
-    /// just drop — the persist path owns durability).
-    fn park_eviction(&mut self, t: usize, victim: Option<LineAddr>) {
-        let Some(victim) = victim else { return };
-        if !self.uses_pb {
-            return;
-        }
-        if self.cores[t].pb.holds_line(victim) {
-            let vidx = self.intern_line(victim);
-            let core = &mut self.cores[t];
-            let tail = core.pb.flushed_count() + core.pb.len() as u64;
-            // A full WBB would stall the eviction in hardware; the
-            // occupancy tracking is what we need here.
-            let _ = core.wbb.park(vidx, tail);
-        }
     }
 
     fn do_store<M: PersistencyModel>(
@@ -202,7 +182,6 @@ impl Engine {
         // an OoO core hides the fill behind younger instructions). This
         // keeps streaming writes persist-path-bound, as on real hardware.
         let lat = out.latency;
-        self.park_eviction(t, out.evicted_dirty);
         if let Some(src) = out.dirty_supplier {
             self.handle_ep_conflict(m, t, src);
         }
@@ -590,8 +569,7 @@ impl Engine {
     }
 
     /// Successful-flush bookkeeping shared by the tracked-PB designs:
-    /// retire the entry, credit the epoch table, clear the NACK filter,
-    /// drain parked evictions and re-attempt commits.
+    /// retire the entry, credit the epoch table and re-attempt commits.
     pub(super) fn ack_pb_flush<M: PersistencyModel>(
         &mut self,
         m: &mut M,
@@ -602,30 +580,10 @@ impl Engine {
         if let Some(entry) = self.cores[tid].pb.ack(entry_id) {
             self.cores[tid].et.ack_write(entry.epoch.ts);
             self.note_pb_occ_change(tid, occ_before);
-            // A successful (retried) flush clears its NACK-filter
-            // entry so the line's LLC eviction may proceed.
-            let mc = self.cfg.mc_of_addr(entry.line.byte_addr());
-            if self.nack_filters[mc].maybe_contains(entry.line) {
-                self.nack_filters[mc].remove(entry.line);
-            }
             self.snap_pool.put(entry.data);
         }
-        // Evictions waiting on the PB tail may now drain.
-        let flushed = self.cores[tid].pb.flushed_count();
-        self.cores[tid].wbb.release_up_to(flushed);
         self.unblock_pb_full(tid);
         self.try_commit(m, tid);
-    }
-
-    /// NACK bookkeeping shared by the tracked-PB designs: the address
-    /// enters the MC's Bloom filter so LLC evictions of the line wait
-    /// for the retry (§V-F), and the entry re-queues.
-    pub(super) fn nack_pb_flush(&mut self, tid: usize, entry_id: u64) {
-        if let Some(entry) = self.cores[tid].pb.get(entry_id) {
-            let mc = self.cfg.mc_of_addr(entry.line.byte_addr());
-            self.nack_filters[mc].insert(entry.line);
-        }
-        self.cores[tid].pb.mark_nacked(entry_id);
     }
 
     // ---------------------------------------------------------------

@@ -63,7 +63,7 @@ impl PersistencyModel for HopsModel {
             // Unreachable in practice: HOPS never issues early flushes,
             // and only early flushes can be NACKed (RT pressure). Kept
             // for engine parity: re-queue and wait for safety.
-            eng.nack_pb_flush(tid, entry_id);
+            eng.cores[tid].pb.mark_nacked(entry_id);
             eng.wake_safe_nacked(tid);
         }
         eng.schedule_flush(tid);

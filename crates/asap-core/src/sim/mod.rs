@@ -412,8 +412,10 @@ impl Sim {
     /// undo records), leaving the simulation able to keep running. This
     /// is the one crash path: [`Sim::crash_and_check`] installs the image
     /// it returns. The crash-space explorer calls it at every surviving
-    /// crash point of a single re-run; two cycles with equal
-    /// [`Sim::crash_state_key`] must yield equal reports and images.
+    /// crash point of a single re-run; two cycles with equal crash-state
+    /// keys in the [`CrashPoints`] timeline must yield equal reports and
+    /// images (pinned by `tests/proptest_equivalence.rs`'s
+    /// `equal_keys_imply_byte_identical_recovery`).
     ///
     /// # Errors
     ///
@@ -437,14 +439,6 @@ impl Sim {
         let mut report = oracle::check(&self.engine.journal, &self.engine.deps, &nvm);
         report.undo_records_applied = undone;
         Ok((report, nvm))
-    }
-
-    /// The crash-state digest at the current instant, under this model's
-    /// [`KeyMask`]. Equal digests within one deterministic run imply
-    /// byte-identical recovered images and oracle reports (pinned by the
-    /// `equal_keys_equal_recovery` property test).
-    pub fn crash_state_key(&self) -> u64 {
-        self.engine.state_key(self.model.crash_key_mask())
     }
 
     /// Detach the crash-point collector (if one was attached via

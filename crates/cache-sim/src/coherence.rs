@@ -135,10 +135,6 @@ pub struct AccessOutcome {
     /// True when the data had to come from memory (the persistency model
     /// decides whether a persist buffer actually holds a newer copy).
     pub llc_miss: bool,
-    /// Dirty line evicted from the requester's private cache by this
-    /// fill, if any (the ASAP write-back-buffer / Bloom-filter machinery
-    /// cares about these).
-    pub evicted_dirty: Option<LineAddr>,
     /// Sharers invalidated by a write upgrade, in invalidation order.
     /// Their invalidation acks carry epoch information: a sharer may
     /// still hold *pending persist buffer writes* for the line (it wrote
@@ -163,7 +159,7 @@ pub struct CacheStats {
     pub c2c_transfers: u64,
     /// Invalidation messages sent.
     pub invalidations: u64,
-    /// Dirty private-cache evictions (candidates for the WBB).
+    /// Dirty private-cache evictions (dropped, not written back).
     pub dirty_evictions: u64,
 }
 
@@ -278,7 +274,6 @@ impl CoherenceHub {
                     level,
                     dirty_supplier: None,
                     llc_miss: false,
-                    evicted_dirty: None,
                     invalidated: SharerSet::default(),
                 };
             }
@@ -375,21 +370,15 @@ impl CoherenceHub {
             }
         }
 
-        if level == HitLevel::Memory {
-            // Directory/LLC lookup already charged; media latency is added
-            // by the caller (it knows whether a persist buffer intercepts).
-        }
-
         // Fill private caches and LLC.
         self.llc.touch(line, idx);
-        let evicted_dirty = self.fill_private(t, line, idx);
+        self.fill_private(t, line, idx);
 
         AccessOutcome {
             latency,
             level,
             dirty_supplier,
             llc_miss: level == HitLevel::Memory,
-            evicted_dirty,
             invalidated,
         }
     }
@@ -399,32 +388,26 @@ impl CoherenceHub {
         self.l2[tid].touch(line, idx);
     }
 
-    /// Fill `line` into the private caches of `t`, reporting a dirty
-    /// victim if one was displaced from L2.
-    fn fill_private(&mut self, t: ThreadId, line: LineAddr, idx: LineIdx) -> Option<LineAddr> {
+    /// Fill `line` into the private caches of `t`. An L2 victim that `t`
+    /// owned leaves the directory; a dirty one is counted and dropped
+    /// (PM lines are not written back — the persist path owns
+    /// durability).
+    fn fill_private(&mut self, t: ThreadId, line: LineAddr, idx: LineIdx) {
         let tid = t.0;
         self.l1[tid].touch(line, idx);
-        let victim = self.l2[tid].touch(line, idx)?;
+        let Some(victim) = self.l2[tid].touch(line, idx) else {
+            return;
+        };
         let victim_line = self.lines.addr_of(victim);
         // Keep L1 inclusive in L2.
         self.l1[tid].invalidate(victim_line, victim);
-        let was_dirty = matches!(
-            self.dir[victim.as_usize()],
-            Some(DirState::Owned { owner, dirty: true }) if owner == t
-        );
-        if was_dirty {
-            self.stats.dirty_evictions += 1;
-            // The line's data now lives only in LLC/PB; directory drops
-            // ownership (PM lines are not written back — the persist path
-            // owns durability).
-            self.dir[victim.as_usize()] = None;
-            Some(victim_line)
-        } else {
-            if matches!(self.dir[victim.as_usize()], Some(DirState::Owned { owner, .. }) if owner == t)
-            {
+        if let Some(DirState::Owned { owner, dirty }) = self.dir[victim.as_usize()] {
+            if owner == t {
+                if dirty {
+                    self.stats.dirty_evictions += 1;
+                }
                 self.dir[victim.as_usize()] = None;
             }
-            None
         }
     }
 
@@ -536,8 +519,7 @@ mod tests {
         for i in 0..8 {
             h.access(ThreadId(0), la(i * stride), true);
         }
-        let out = h.access(ThreadId(0), la(8 * stride), true);
-        assert!(out.evicted_dirty.is_some());
+        h.access(ThreadId(0), la(8 * stride), true);
         assert!(h.stats().dirty_evictions >= 1);
     }
 

@@ -18,23 +18,16 @@
 //! the identity of the supplying core, which the persistency models turn
 //! into epoch dependencies.
 //!
-//! The crate also provides the two small helper structures ASAP adds
-//! around the caches (§V-F):
-//!
-//! * [`WriteBackBuffer`] — delays private-cache evictions until preceding
-//!   persist-buffer entries have flushed, and
-//! * [`CountingBloom`] — the MC-side filter of NACKed flush addresses that
-//!   must not be evicted from the LLC while they sit in a persist buffer.
+//! Dirty PM lines are never written back on eviction (the persist path
+//! owns durability), so the §V-F write-back buffer and NACK Bloom filter
+//! that keep an eviction behind its persist-buffer entry have nothing to
+//! hold back and are not modelled.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod bloom;
 mod coherence;
 mod setassoc;
-mod wbb;
 
-pub use bloom::CountingBloom;
 pub use coherence::{AccessOutcome, CacheStats, CoherenceHub, HitLevel, SharerSet};
 pub use setassoc::SetAssoc;
-pub use wbb::{WbbEntry, WriteBackBuffer};

@@ -96,8 +96,8 @@ where
 
 /// Parse `--threads N`, the simulated core count, into the paper
 /// configuration with that many cores. A count that
-/// `SimConfigBuilder::build` rejects (zero) exits with status 2, naming
-/// the flag and carrying its `ConfigError`.
+/// `SimConfigBuilder::build` rejects (zero, or above `MAX_CORES`) exits
+/// with status 2, naming the flag and carrying its `ConfigError`.
 pub fn threads_config(args: &[String], default: usize) -> SimConfig {
     let threads = parse_arg_or(args, "--threads", default);
     SimConfig::builder()

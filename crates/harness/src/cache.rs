@@ -28,9 +28,7 @@ use crate::runner::{RunManifest, RunOutcome, RunSpec};
 use crate::traffic::{TrafficOutcome, TrafficSpec};
 use asap_analysis::explore::{ChunkResult, ExploreParams, ViolationHit};
 use asap_core::ViolationRule;
-use asap_sim_core::{
-    fnv1a_fold, LogHistogram, ModelKind, SimConfig, StatMut, StatRef, Stats, FNV_OFFSET,
-};
+use asap_sim_core::{fnv1a_fold, LogHistogram, ModelKind, StatMut, StatRef, Stats, FNV_OFFSET};
 use asap_workloads::WorkloadKind;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -95,12 +93,10 @@ pub fn explore_chunk_digest(
     model: ModelKind,
     chunk: usize,
 ) -> u64 {
-    let mut cfg = SimConfig::paper();
-    cfg.num_cores = cfg.num_cores.max(p.threads);
     fnv1a(&format!(
         "config={:016x} workload={} model={} flavor={:?} threads={} ops={} seed={} \
          pad={} budget={} prune={} chunk={} broken={} index={chunk}",
-        cfg.digest(),
+        p.config().digest(),
         workload.label(),
         model.label(),
         p.flavor,

@@ -123,13 +123,25 @@ fn unknown_workload_model_flavor_exit_two_listing_known_ones() {
 fn zero_valued_flags_exit_two_naming_the_flag() {
     // Each of these used to panic (exit 101), or for persist_lint lint
     // zero threads and exit 0. Beside the zeros the simulator cannot run
-    // with: a `--zipf` skew outside [0, 1) and an unwritable `--json`.
+    // with: a core count above `MAX_CORES` (persist_lint used to allocate
+    // for 10^8 threads until killed), a `--zipf` skew outside [0, 1) and
+    // an unwritable `--json`.
     let samples = std::env::temp_dir().join(format!("zero_every_{}.csv", std::process::id()));
     let samples = samples.to_str().expect("utf8 temp path");
     for (bin, argv, flag) in [
         (
             env!("CARGO_BIN_EXE_asap_sim"),
             vec!["--threads", "0"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_asap_sim"),
+            vec!["--threads", "257"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_asap_sim"),
+            vec!["--threads", "100000000"],
             "--threads",
         ),
         (
@@ -143,8 +155,23 @@ fn zero_valued_flags_exit_two_naming_the_flag() {
             "--threads",
         ),
         (
+            env!("CARGO_BIN_EXE_race_check"),
+            vec!["--workload", "queue", "--threads", "257"],
+            "--threads",
+        ),
+        (
             env!("CARGO_BIN_EXE_persist_lint"),
             vec!["--workload", "queue", "--threads", "0"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_persist_lint"),
+            vec!["--workload", "queue", "--threads", "257"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_persist_lint"),
+            vec!["--workload", "queue", "--threads", "100000000"],
             "--threads",
         ),
         (

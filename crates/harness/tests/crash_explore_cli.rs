@@ -223,14 +223,18 @@ fn string_flag_missing_its_value_exits_two() {
 
 #[test]
 fn zero_threads_exits_two_naming_the_flag() {
-    // Used to panic inside a pool worker ("at least one program
-    // required"), re-raised as "a scoped thread panicked".
-    let out = explore(&["--threads", "0", "--workloads", "queue", "--models", "asap"]);
-    let err = stderr_of(&out);
-    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
-    assert!(err.contains("--threads"), "{err}");
-    assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
-    assert!(stdout_of(&out).is_empty(), "ran the explorer");
+    // Zero used to panic inside a pool worker ("at least one program
+    // required"), re-raised as "a scoped thread panicked". Above
+    // `MAX_CORES` the builder rejects the machine too, before any
+    // per-core state is allocated.
+    for n in ["0", "257", "100000000"] {
+        let out = explore(&["--threads", n, "--workloads", "queue", "--models", "asap"]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{n}: {err}");
+        assert!(err.contains("--threads") && err.contains(n), "{err}");
+        assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
+        assert!(stdout_of(&out).is_empty(), "ran the explorer");
+    }
 }
 
 #[test]

@@ -135,11 +135,6 @@ impl MemController {
         self.wpq.media_writes()
     }
 
-    /// When the NVM media pipe next idles (bandwidth accounting).
-    pub fn media_free_at(&self) -> Cycle {
-        self.wpq.media_free_at()
-    }
-
     /// Per-line issue interval of this MC's media pipe.
     pub fn write_occupancy(&self) -> Cycle {
         self.wpq.write_occupancy()

@@ -175,11 +175,6 @@ impl Wpq {
     pub fn coalesced(&self) -> u64 {
         self.coalesced
     }
-
-    /// When the media pipe is next idle (diagnostics; bandwidth studies).
-    pub fn media_free_at(&self) -> Cycle {
-        self.media_free_at
-    }
 }
 
 #[cfg(test)]

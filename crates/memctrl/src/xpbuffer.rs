@@ -3,9 +3,10 @@
 //! The paper's justification for undo-record reads (§V-A) leans on the
 //! XPBuffer: "XPBuffer in Intel Optane Persistent memory caches most
 //! recently accessed lines. Writes would mostly hit in this cache." We
-//! model it as a fully-associative LRU over recently touched lines; an
-//! undo-record read that hits here costs [`XpBuffer`]'s cheap latency
-//! instead of a full 175 ns media read.
+//! model it as a fully-associative LRU over recently touched lines and
+//! count the undo-record reads that hit it (`Stats::xpbuffer_hits`). A
+//! hit or miss costs no cycles: the flush is acked at WPQ acceptance,
+//! before the undo read would finish.
 //!
 //! Lines are identified by the controller's dense interned [`LineIdx`].
 //! The LRU is exact and every [`XpBuffer::touch`] is O(1): the resident

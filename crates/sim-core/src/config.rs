@@ -116,6 +116,11 @@ impl FromStr for Flavor {
     }
 }
 
+/// The most cores [`SimConfigBuilder::build`] accepts: 32 times the
+/// paper's largest machine (8 cores), far past any sweep here, and small
+/// enough that per-core state for every core fits in memory.
+pub const MAX_CORES: usize = 256;
+
 /// Error returned by [`SimConfigBuilder::build`] when a configuration is
 /// internally inconsistent.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,7 +149,9 @@ impl Error for ConfigError {}
 /// | PM | read 175 ns / write 90 ns |
 /// | Persist buffers | 32 entries, flush = 60 ns |
 ///
-/// Use [`SimConfig::builder`] to deviate for sensitivity studies
+/// Every field is read by the simulator; parameters of Table II it does
+/// not model (the 8-way issue width, the XPBuffer hit latency) have no
+/// field. Use [`SimConfig::builder`] to deviate for sensitivity studies
 /// (Figures 10, 12 and the ablations in DESIGN.md).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
@@ -176,9 +183,8 @@ pub struct SimConfig {
     /// DIMMs overlap writes across banks, so per-line *occupancy* is
     /// below per-line *latency*).
     pub nvm_banks: usize,
-    /// XPBuffer (Optane on-DIMM cache) hit latency for undo-record reads.
-    pub xpbuffer_latency: Cycle,
-    /// Number of lines tracked by the XPBuffer model.
+    /// Number of lines tracked by the XPBuffer (Optane on-DIMM cache)
+    /// model.
     pub xpbuffer_lines: usize,
     /// Persist-buffer capacity per core.
     pub pb_entries: usize,
@@ -199,9 +205,6 @@ pub struct SimConfig {
     pub hops_poll_latency: Cycle,
     /// Latency of an inter-core message (commit ack → CDR delivery).
     pub intercore_latency: Cycle,
-    /// Store issue width per cycle into the persist path (models the
-    /// 8-way OoO core's ability to retire stores without stalling).
-    pub core_issue_width: usize,
     /// Cycles charged per modelled "compute" unit between memory ops.
     pub compute_scale: u64,
 }
@@ -221,7 +224,6 @@ impl SimConfig {
             nvm_read_latency: Cycle::from_ns(175),
             nvm_write_latency: Cycle::from_ns(90),
             nvm_banks: 4,
-            xpbuffer_latency: Cycle::from_ns(10),
             xpbuffer_lines: 256,
             pb_entries: 32,
             pb_flush_latency: Cycle::from_ns(60),
@@ -232,7 +234,6 @@ impl SimConfig {
             hops_poll_period: Cycle(500),
             hops_poll_latency: Cycle(50),
             intercore_latency: Cycle::from_ns(15),
-            core_issue_width: 2,
             compute_scale: 1,
         }
     }
@@ -310,12 +311,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Set the epoch-table capacity.
-    pub fn et_entries(mut self, n: usize) -> Self {
-        self.cfg.et_entries = n;
-        self
-    }
-
     /// Set the recovery-table capacity.
     pub fn rt_entries(mut self, n: usize) -> Self {
         self.cfg.rt_entries = n;
@@ -340,18 +335,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Set the NVM read latency in nanoseconds.
-    pub fn nvm_read_ns(mut self, ns: u64) -> Self {
-        self.cfg.nvm_read_latency = Cycle::from_ns(ns);
-        self
-    }
-
-    /// Set the PB→MC flush latency in nanoseconds.
-    pub fn flush_ns(mut self, ns: u64) -> Self {
-        self.cfg.pb_flush_latency = Cycle::from_ns(ns);
-        self
-    }
-
     /// Set the HOPS polling period in cycles.
     pub fn hops_poll_period(mut self, cycles: u64) -> Self {
         self.cfg.hops_poll_period = Cycle(cycles);
@@ -368,13 +351,19 @@ impl SimConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if any of the following hold: zero
-    /// cores/MCs, non-power-of-two or sub-line interleaving, or zero-sized
-    /// buffers.
+    /// Returns [`ConfigError`] if any of the following hold: zero or more
+    /// than [`MAX_CORES`] cores, zero MCs, non-power-of-two or sub-line
+    /// interleaving, or zero-sized buffers.
     pub fn build(self) -> Result<SimConfig, ConfigError> {
         let c = &self.cfg;
         if c.num_cores == 0 {
             return Err(ConfigError("num_cores must be >= 1".into()));
+        }
+        if c.num_cores > MAX_CORES {
+            return Err(ConfigError(format!(
+                "num_cores must be <= {MAX_CORES}, got {}",
+                c.num_cores
+            )));
         }
         if c.num_mcs == 0 {
             return Err(ConfigError("num_mcs must be >= 1".into()));
@@ -390,9 +379,6 @@ impl SimConfigBuilder {
         }
         if c.pb_max_inflight == 0 {
             return Err(ConfigError("pb_max_inflight must be >= 1".into()));
-        }
-        if c.core_issue_width == 0 {
-            return Err(ConfigError("core_issue_width must be >= 1".into()));
         }
         if c.nvm_banks == 0 {
             return Err(ConfigError("nvm_banks must be >= 1".into()));
@@ -439,6 +425,8 @@ mod tests {
     #[test]
     fn builder_rejects_bad_configs() {
         assert!(SimConfig::builder().cores(0).build().is_err());
+        assert!(SimConfig::builder().cores(MAX_CORES).build().is_ok());
+        assert!(SimConfig::builder().cores(MAX_CORES + 1).build().is_err());
         assert!(SimConfig::builder().mcs(0).build().is_err());
         assert!(SimConfig::builder().interleave_bytes(100).build().is_err());
         assert!(SimConfig::builder().interleave_bytes(32).build().is_err());

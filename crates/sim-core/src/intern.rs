@@ -1,7 +1,7 @@
 //! Address interning: dense per-run indices for cache lines.
 //!
 //! The simulators track a lot of per-line state (coherence directory,
-//! recovery-table records, write-back buffers). Keying that state by the
+//! recovery-table records, the release map). Keying that state by the
 //! raw [`LineAddr`] forces a SipHash `HashMap` lookup on every access —
 //! measurable overhead when the hot loop touches several tables per
 //! simulated memory operation. A [`LineTable`] instead assigns each

@@ -57,7 +57,7 @@ mod stats;
 mod time;
 mod trace;
 
-pub use config::{ConfigError, Flavor, ModelKind, SimConfig, SimConfigBuilder};
+pub use config::{ConfigError, Flavor, ModelKind, SimConfig, SimConfigBuilder, MAX_CORES};
 pub use events::EventQueue;
 pub use fnv::{fnv1a_fold, FNV_OFFSET};
 pub use hist::{LatencySplit, LogHistogram};

@@ -72,12 +72,6 @@ impl DetRng {
         out
     }
 
-    /// Next 32-bit value. The low bits of xoshiro256++ output have weak
-    /// linear dependencies, so the upper half is used.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Unbiased uniform value in `[0, range)` via widening-multiply
     /// rejection sampling (Lemire). `range == 0` means the full 2^64
     /// domain.

@@ -7,8 +7,7 @@
 //!   (Table VI names), deterministic RNG.
 //! * [`pm`] — functional persistent-memory space, MC interleaving,
 //!   allocator, timing-accurate NVM image and write journal.
-//! * [`cache`] — MESI private caches, directory LLC, write-back buffer,
-//!   counting Bloom filter.
+//! * [`cache`] — MESI private caches and directory LLC.
 //! * [`mc`] — memory controllers: WPQ, NVM timing, recovery tables
 //!   (undo/delay records), NACK backpressure, ADR crash drain.
 //! * [`model`] — the persistency hardware models: Intel-like baseline,

@@ -1,5 +1,5 @@
 //! Randomized property tests on the core data structures and invariants:
-//! allocator disjointness, recovery-table state machine, Bloom filter,
+//! allocator disjointness, recovery-table state machine,
 //! event-queue ordering, histogram percentiles, the dependency DAG and
 //! the crash oracle (against a quadratic reference). The event queue,
 //! XPBuffer and set-associative array are also checked op by op against
@@ -10,7 +10,7 @@
 //! rather than an external property-testing framework, which keeps the
 //! test suite dependency-free.
 
-use asap::cache::{CountingBloom, SetAssoc};
+use asap::cache::SetAssoc;
 use asap::mc::{RecoveryTable, XpBuffer};
 use asap::model::oracle::{self, CrashReport, Violation, ViolationRule};
 use asap::model::DepGraph;
@@ -149,52 +149,6 @@ fn rt_crash_never_leaks_uncommitted_early_values() {
             rt.commit_epoch(e_old, &mut nvm);
             rt.commit_epoch(e_new, &mut nvm);
             assert_eq!(rt.occupancy(), 0, "case {case}");
-        }
-    }
-}
-
-// ---- Bloom filter ----
-
-#[test]
-fn bloom_has_no_false_negatives() {
-    for case in 0..CASES {
-        let mut rng = case_rng(5, case);
-        let n = rng.index(127) + 1;
-        let lines: Vec<u64> = (0..n).map(|_| rng.below(10_000)).collect();
-        let mut f = CountingBloom::new(4096, 3);
-        for &l in &lines {
-            f.insert(LineAddr::containing(l * 64));
-        }
-        for &l in &lines {
-            assert!(
-                f.maybe_contains(LineAddr::containing(l * 64)),
-                "case {case}: false negative for {l}"
-            );
-        }
-    }
-}
-
-#[test]
-fn bloom_remove_restores_absence() {
-    for case in 0..CASES {
-        let mut rng = case_rng(6, case);
-        let n = rng.index(31) + 1;
-        let mut unique: Vec<u64> = (0..n).map(|_| rng.below(1000)).collect();
-        unique.sort_unstable();
-        unique.dedup();
-        let mut f = CountingBloom::new(4096, 3);
-        for &l in &unique {
-            f.insert(LineAddr::containing(l * 64));
-        }
-        for &l in &unique {
-            f.remove(LineAddr::containing(l * 64));
-        }
-        assert!(f.is_empty(), "case {case}");
-        for &l in &unique {
-            assert!(
-                !f.maybe_contains(LineAddr::containing(l * 64)),
-                "case {case}: stale entry for {l}"
-            );
         }
     }
 }
