@@ -100,7 +100,8 @@ pub struct ExploreParams {
     /// Workload RNG seed; also salts importance sampling.
     pub seed: u64,
     /// Half-width (cycles) of the boundary neighbourhoods that get
-    /// sampling priority.
+    /// sampling priority: 8 by default, and no `crash_explore` flag
+    /// changes it.
     pub pad: u64,
     /// Maximum survivors verified per config; the excess is
     /// importance-sampled away (and counted as `sampled_out`).
@@ -111,8 +112,8 @@ pub struct ExploreParams {
     /// one deterministic re-run).
     pub chunk: usize,
     /// Fault injection: drop every n-th recovery-table undo record
-    /// (`0` = off). Used by the broken-model fixture that proves the
-    /// explorer catches Theorem 2 violations.
+    /// (`0` = off). The broken-model fixture (`--broken-fixture`) sets
+    /// it to 1 to prove the explorer catches Theorem 2 violations.
     pub broken_undo_every: u64,
 }
 
@@ -136,8 +137,7 @@ impl Default for ExploreParams {
 
 impl ExploreParams {
     /// The simulated machine: the paper configuration with at least
-    /// [`ExploreParams::threads`] cores. Both passes run on it, and the
-    /// outcome cache keys verify chunks by its digest.
+    /// [`ExploreParams::threads`] cores. Both passes run on it.
     pub fn config(&self) -> SimConfig {
         let mut cfg = SimConfig::paper();
         cfg.num_cores = cfg.num_cores.max(self.threads);
@@ -242,30 +242,14 @@ fn plan_from_points(
 
     // Observable intervals: crashing "at" a cycle means after all its
     // events, so only the last timeline entry per cycle is reachable.
-    let mut intervals: Vec<(u64, u64)> = Vec::new(); // (start, key ignored) -> (start, end)
-    {
-        let mut starts: Vec<u64> = Vec::new();
-        for &(c, _) in &points.timeline {
-            if c > end {
-                break;
-            }
-            match starts.last() {
-                Some(&last) if last == c => {}
-                _ => starts.push(c),
-            }
-        }
-        if starts.is_empty() {
-            starts.push(0);
-        }
-        for (i, &s) in starts.iter().enumerate() {
-            let e = if i + 1 < starts.len() {
-                starts[i + 1] - 1
-            } else {
-                end
-            };
-            intervals.push((s, e));
-        }
+    let cycles = points.timeline.iter().map(|&(c, _)| c);
+    let mut starts: Vec<u64> = cycles.take_while(|&c| c <= end).collect();
+    starts.dedup();
+    if starts.is_empty() {
+        starts.push(0);
     }
+    let ends = starts.iter().skip(1).map(|&next| next - 1).chain([end]);
+    let intervals: Vec<(u64, u64)> = starts.iter().copied().zip(ends).collect();
     let distinct = intervals.len() as u64;
 
     // Candidates: intervals when pruning, raw cycles otherwise.
@@ -382,7 +366,7 @@ fn config_salt(workload: WorkloadKind, model: ModelKind) -> u64 {
 }
 
 /// One oracle violation found at a crash point.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ViolationHit {
     /// Crash cycle.
     pub cycle: u64,
@@ -397,7 +381,7 @@ pub struct ViolationHit {
 pub const MAX_KEPT_VIOLATIONS: usize = 20;
 
 /// Result of verifying one chunk.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct ChunkResult {
     /// Crash points actually checked.
     pub checked: u64,
@@ -494,9 +478,6 @@ pub struct ConfigReport {
     pub verify_mismatches: u64,
     /// Max undo records any checked crash point would apply.
     pub undo_max: usize,
-    /// Whether every verify chunk of this config was served from the
-    /// harness result cache.
-    pub from_cache: bool,
 }
 
 impl ConfigReport {
@@ -555,7 +536,6 @@ pub fn assemble_config(p: &ExploreParams, p1: &Pass1, chunks: &[ChunkResult]) ->
         verify_checked,
         verify_mismatches,
         undo_max,
-        from_cache: false,
     }
 }
 
@@ -584,6 +564,22 @@ pub struct CrashSpaceReport {
 }
 
 impl CrashSpaceReport {
+    /// The report of a run with parameters `p`: `p` echoed, plus
+    /// `configs` in grid order.
+    pub fn new(p: &ExploreParams, configs: Vec<ConfigReport>) -> CrashSpaceReport {
+        CrashSpaceReport {
+            flavor: p.flavor,
+            threads: p.threads,
+            ops_per_thread: p.ops_per_thread,
+            seed: p.seed,
+            pad: p.pad,
+            points_budget: p.points_budget,
+            prune: p.prune,
+            broken_undo_every: p.broken_undo_every,
+            configs,
+        }
+    }
+
     /// Total raw crash points across configs.
     pub fn total_raw(&self) -> u64 {
         self.configs.iter().map(|c| c.raw_points).sum()
@@ -619,11 +615,6 @@ impl CrashSpaceReport {
         self.total_pruned() as f64 / raw as f64
     }
 
-    /// `true` when every config is clean.
-    pub fn is_clean(&self) -> bool {
-        self.configs.iter().all(|c| c.is_clean())
-    }
-
     /// Human-readable report.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -645,13 +636,7 @@ impl CrashSpaceReport {
             }
         );
         for c in &self.configs {
-            let _ = writeln!(
-                out,
-                "## {}/{}{}",
-                c.workload,
-                c.model,
-                if c.from_cache { " (cached)" } else { "" }
-            );
+            let _ = writeln!(out, "## {}/{}", c.workload, c.model);
             let _ = writeln!(
                 out,
                 "  raw {} | distinct {} | pruned {} | checked {} | sampled-out {} | end cycle {}",
@@ -739,7 +724,7 @@ impl CrashSpaceReport {
                 "{{\"workload\":{},\"model\":{},\"endCycle\":{},\"rawPoints\":{},\
                  \"distinctStates\":{},\"checked\":{},\"sampledOut\":{},\"pruned\":{},\
                  \"verifyChecked\":{},\"verifyMismatches\":{},\"undoMax\":{},\
-                 \"fromCache\":{},\"boundaries\":{{",
+                 \"boundaries\":{{",
                 json_str(&c.workload),
                 json_str(&c.model),
                 c.end_cycle,
@@ -750,8 +735,7 @@ impl CrashSpaceReport {
                 c.pruned,
                 c.verify_checked,
                 c.verify_mismatches,
-                c.undo_max,
-                c.from_cache
+                c.undo_max
             );
             let mut first = true;
             for (j, k) in BoundaryKind::ALL.iter().enumerate() {
@@ -813,9 +797,9 @@ impl CrashSpaceReport {
 }
 
 /// Serial end-to-end driver: pass 1 then every chunk, per config, in
-/// grid order. The harness binary reproduces exactly this structure
-/// with the chunks run as legs of its sweep executor (worker pool plus
-/// outcome cache); both paths produce byte-identical reports.
+/// grid order. The `crash_explore` binary runs the same passes with the
+/// chunks fanned out over its worker pool; both paths produce
+/// byte-identical reports.
 pub fn explore_all(p: &ExploreParams) -> CrashSpaceReport {
     let configs: Vec<ConfigReport> = p
         .configs()
@@ -827,17 +811,7 @@ pub fn explore_all(p: &ExploreParams) -> CrashSpaceReport {
             assemble_config(p, &p1, &results)
         })
         .collect();
-    CrashSpaceReport {
-        flavor: p.flavor,
-        threads: p.threads,
-        ops_per_thread: p.ops_per_thread,
-        seed: p.seed,
-        pad: p.pad,
-        points_budget: p.points_budget,
-        prune: p.prune,
-        broken_undo_every: p.broken_undo_every,
-        configs,
-    }
+    CrashSpaceReport::new(p, configs)
 }
 
 #[cfg(test)]

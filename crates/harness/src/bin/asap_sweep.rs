@@ -35,7 +35,8 @@
 //! the first leg's request bank and exits; `--replay` replays a trace
 //! file on every (app, model) pair instead of generating banks. Replayed
 //! legs never touch the outcome cache: their bank comes from a file the
-//! spec digest cannot see.
+//! spec digest cannot see. A `--gap` × `--requests` product, or a
+//! replayed arrival, past [`MAX_ARRIVAL_CYCLE`] (2^48 cycles) exits 2.
 //!
 //! The sweep report (leg counts, cache hits, wall time) goes to stderr;
 //! `--cache-stats PATH` additionally writes it as JSON for CI gates.
@@ -51,7 +52,9 @@ use asap_harness::traffic::{
     TrafficSpec,
 };
 use asap_sim_core::{Flavor, ModelKind};
-use asap_workloads::traffic::{format_trace, generate, parse_trace, ArrivalKind};
+use asap_workloads::traffic::{
+    format_trace, generate, parse_trace, ArrivalKind, MAX_ARRIVAL_CYCLE,
+};
 use std::sync::Arc;
 
 /// The accepted sweep names: every registry entry, then `traffic`.
@@ -118,6 +121,16 @@ fn traffic_scale(argv: &[String], sa: &SweepArgs) -> TrafficScale {
     }
     if let Some(n) = parse_arg(argv, "--requests") {
         scale.requests = n;
+    }
+    // A leg's arrivals span about gap × requests cycles.
+    for &gap in &scale.gaps {
+        let end = gap.checked_mul(scale.requests);
+        if end.is_none_or(|end| end > MAX_ARRIVAL_CYCLE) {
+            let n = scale.requests;
+            usage_error(&format!(
+                "--gap {gap} × --requests {n} passes cycle {MAX_ARRIVAL_CYCLE}"
+            ));
+        }
     }
     if let Some(f) = parse_arg::<f64>(argv, "--update-fraction") {
         if !(0.0..=1.0).contains(&f) {

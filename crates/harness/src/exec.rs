@@ -34,7 +34,7 @@ use std::time::Instant;
 /// artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
-    /// Sweep label: the figure name, `traffic` or `crash_explore`.
+    /// Sweep label: the figure name or `traffic`.
     pub label: String,
     /// Total legs in the sweep.
     pub legs: usize,
@@ -49,7 +49,8 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// One-line stderr summary (the `(cached)` marker of reports).
+    /// One-line stderr summary: legs cached and simulated, wall time
+    /// and workers.
     pub fn summary(&self) -> String {
         format!(
             "# sweep {}: {} legs = {} cached + {} simulated in {:.1} ms on {} worker(s)",

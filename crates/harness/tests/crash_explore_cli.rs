@@ -1,9 +1,9 @@
 //! End-to-end tests for the `crash_explore` binary: agreement with the
-//! serial `explore_all` driver, worker-count independence of the report
-//! bytes, the broken-model fixture contract, the coverage assertions,
-//! strict flag values, and the chunk-granular result cache.
+//! serial `explore_all` driver under every prune mode, worker-count
+//! independence of the report bytes, the broken-model fixture contract,
+//! the coverage assertions and strict flag values.
 
-use asap_analysis::explore::{explore_all, ExploreParams};
+use asap_analysis::explore::{explore_all, ExploreParams, PruneMode};
 use asap_sim_core::ModelKind;
 use asap_workloads::WorkloadKind;
 use std::process::{Command, Output};
@@ -37,24 +37,38 @@ const QUICK: &[&str] = &[
 
 #[test]
 fn binary_prints_exactly_what_explore_all_reports() {
-    // The binary runs the verify chunks as sweep-executor legs; the
-    // serial driver runs them in a loop. Both must print the same bytes.
+    // The binary runs the verify chunks on the worker pool; the serial
+    // driver runs them in a loop. Both must print the same bytes.
     let broken = ExploreParams {
         workloads: vec![WorkloadKind::Queue],
         models: vec![ModelKind::Asap],
         broken_undo_every: 1,
         ..ExploreParams::default()
     };
-    let broken_flags: &[&str] = &[
-        "--workloads",
-        "queue",
-        "--models",
-        "asap",
-        "--broken-fixture",
-        "--expect-violation",
-    ];
-    for (flags, p) in [(&[][..], ExploreParams::default()), (broken_flags, broken)] {
-        let argv: Vec<&str> = flags.iter().copied().chain(["--json", "-"]).collect();
+    // Every raw point (`off`) and the interval-end audit (`verify`) on
+    // a config small enough for the debug test build.
+    let small = |prune| ExploreParams {
+        workloads: vec![WorkloadKind::Queue],
+        models: vec![ModelKind::Asap, ModelKind::Bbb],
+        ops_per_thread: 6,
+        points_budget: 100_000,
+        prune,
+        ..ExploreParams::default()
+    };
+    let small_flags = "--workloads queue --models asap,bbb --ops 6 --points-budget 100000";
+    for (flags, p) in [
+        (String::new(), ExploreParams::default()),
+        (
+            "--workloads queue --models asap --broken-fixture --expect-violation".into(),
+            broken,
+        ),
+        (
+            format!("{small_flags} --prune verify"),
+            small(PruneMode::Verify),
+        ),
+        (format!("{small_flags} --prune off"), small(PruneMode::Off)),
+    ] {
+        let argv: Vec<&str> = flags.split_whitespace().chain(["--json", "-"]).collect();
         let out = explore(&argv);
         assert!(out.status.success(), "{argv:?}: {}", stderr_of(&out));
         let report = explore_all(&p);
@@ -174,41 +188,13 @@ fn unwritable_json_path_exits_two() {
 }
 
 #[test]
-fn cache_round_trips_and_marks_hits() {
-    let dir = std::env::temp_dir().join(format!("crash_explore_cache_{}", std::process::id()));
-    let dir_s = dir.to_str().expect("utf8 temp dir");
-    let mut args = QUICK.to_vec();
-    args.extend(["--cache-dir", dir_s]);
-
-    let cold = explore(&args);
-    assert!(cold.status.success(), "stderr: {}", stderr_of(&cold));
-    assert!(!stdout_of(&cold).contains("(cached)"));
-
-    let warm = explore(&args);
-    assert!(warm.status.success(), "stderr: {}", stderr_of(&warm));
-    let warm_text = stdout_of(&warm);
-    assert!(warm_text.contains("(cached)"), "{warm_text}");
-    // Apart from the cache marker, the warm report matches the cold one.
-    assert_eq!(warm_text.replace(" (cached)", ""), stdout_of(&cold));
-
-    // A different seed is a different key: no stale hit.
-    let mut reseeded = args.clone();
-    reseeded.extend(["--seed", "99"]);
-    let out = explore(&reseeded);
-    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
-    assert!(!stdout_of(&out).contains("(cached)"));
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn string_flag_missing_its_value_exits_two() {
     // A flag at the end, or followed directly by another flag.
     for (flag, next) in [
         ("--json", None),
-        ("--cache-dir", None),
+        ("--workloads", None),
         ("--flavor", None),
-        ("--cache-dir", Some("--expect-violation")),
+        ("--workloads", Some("--expect-violation")),
         ("--models", Some("--broken-fixture")),
     ] {
         let mut args = vec!["--ops", "2", flag];
@@ -249,68 +235,4 @@ fn zero_budget_or_chunk_exits_two_naming_the_flag() {
         assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
         assert!(stdout_of(&out).is_empty(), "ran the explorer");
     }
-}
-
-#[test]
-fn deleting_one_chunk_entry_resimulates_exactly_one_leg() {
-    let dir = std::env::temp_dir().join(format!("crash_explore_chunks_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let dir_s = dir.to_str().expect("utf8 temp dir");
-    // Two configs of several chunks each.
-    let args = [
-        "--workloads",
-        "queue",
-        "--models",
-        "asap,eadr",
-        "--points-budget",
-        "256",
-        "--chunk",
-        "64",
-        "--cache-dir",
-        dir_s,
-    ];
-
-    let cold = explore(&args);
-    assert!(cold.status.success(), "stderr: {}", stderr_of(&cold));
-    let entries: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
-        .expect("cache dir written")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "entry"))
-        .collect();
-    assert!(entries.len() > 1, "one entry per chunk: {entries:?}");
-    let warm = explore(&args);
-    assert!(
-        stderr_of(&warm).contains(&format!("= {} cached + 0 simulated", entries.len())),
-        "{}",
-        stderr_of(&warm)
-    );
-
-    std::fs::remove_file(&entries[0]).expect("delete one chunk entry");
-    let resumed = explore(&args);
-    assert!(resumed.status.success(), "stderr: {}", stderr_of(&resumed));
-    assert!(
-        stderr_of(&resumed).contains(&format!("= {} cached + 1 simulated", entries.len() - 1)),
-        "exactly one leg re-runs: {}",
-        stderr_of(&resumed)
-    );
-    let text = stdout_of(&resumed);
-    assert_eq!(
-        text.matches(" (cached)").count(),
-        1,
-        "only the untouched config is fully cached: {text}"
-    );
-    assert_eq!(text.replace(" (cached)", ""), stdout_of(&cold));
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn broken_fixture_never_opens_the_cache() {
-    let dir = std::env::temp_dir().join(format!("crash_explore_broken_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut args = QUICK.to_vec();
-    args.extend(["--broken-fixture", "--cache-dir", dir.to_str().unwrap()]);
-    let out = explore(&args);
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
-    assert!(!dir.exists(), "a broken run must not create the cache");
 }

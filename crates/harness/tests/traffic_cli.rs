@@ -44,9 +44,21 @@ fn malformed_gap_exits_two_naming_flag_and_value() {
 
 #[test]
 fn zero_gap_exits_two() {
-    let out = traffic(&["--gap", "0"]);
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
-    assert!(stderr_of(&out).contains("--gap"));
+    // Zero, and gaps whose arrivals reach past `MAX_ARRIVAL_CYCLE`, with
+    // gap × requests overflowing u64 or not. These ran to all-zero
+    // latencies, or overflowed the simulated clock.
+    for args in [
+        &["--gap", "0"][..],
+        &["--gap", "18446744073709551615"],
+        &["--gap", "4611686018427387904", "--requests", "3"],
+        &["--gap", "281474976710656", "--requests", "2"],
+    ] {
+        let out = traffic(args);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("--gap"), "{args:?}: {err}");
+        assert!(stdout_of(&out).is_empty(), "{args:?} ran the sweep");
+    }
 }
 
 #[test]
@@ -188,13 +200,25 @@ fn malformed_trace_file_exits_two_with_line_number() {
     let dir = std::env::temp_dir().join("asap_traffic_cli");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("bad.trace");
-    std::fs::write(&path, "# asap-traffic v1\n10 get 1\n20 frob 2\n").expect("write");
-
-    let out = traffic(&["--replay", path.to_str().expect("utf-8 path")]);
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
-    let err = stderr_of(&out);
-    assert!(err.contains("line 3"), "{err}");
-    assert!(err.contains("frob"), "{err}");
+    let path_s = path.to_str().expect("utf-8 path");
+    // A bad op, and an arrival past `MAX_ARRIVAL_CYCLE` (which used to
+    // overflow the simulated clock).
+    for (bad, named) in [
+        ("20 frob 2", "frob"),
+        ("18446744073709551615 get 2", "line 3"),
+    ] {
+        std::fs::write(&path, format!("# asap-traffic v1\n10 get 1\n{bad}\n")).expect("write");
+        let out = traffic(&["--replay", path_s]);
+        assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+        let err = stderr_of(&out);
+        assert!(err.contains("line 3"), "{err}");
+        assert!(err.contains(named), "{err}");
+    }
+    // The bound itself replays cleanly under the test build's overflow
+    // checks.
+    std::fs::write(&path, format!("# asap-traffic v1\n{} set 2\n", 1u64 << 48)).expect("write");
+    let out = traffic(&["--app", "memcached", "--model", "asap", "--replay", path_s]);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
 
     std::fs::remove_file(&path).ok();
 }

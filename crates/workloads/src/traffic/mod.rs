@@ -40,6 +40,14 @@ use crate::common::KeySampler;
 use asap_sim_core::DetRng;
 use std::fmt;
 
+/// The latest arrival cycle a request stream may hold: 2^48 cycles,
+/// about 39 hours of simulated time at 2 GHz. A leg's latency and
+/// occupancy accounting sums cycle counts in `u64`, which a 4-core
+/// `SimConfig::paper()` leg overflows near 2^62 cycles, so
+/// [`parse_trace`] rejects a later arrival and `asap_sweep traffic`
+/// rejects a `--gap` × `--requests` product past it.
+pub const MAX_ARRIVAL_CYCLE: u64 = 1 << 48;
+
 /// What a request asks the service to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestOp {

@@ -11,9 +11,10 @@
 //!
 //! The first non-blank line must be the [`TRACE_HEADER`] magic.
 //! Arrival cycles must be non-decreasing (replay assumes a
-//! time-ordered stream). Parse errors carry 1-based line numbers.
+//! time-ordered stream) and at most [`MAX_ARRIVAL_CYCLE`]. Parse errors
+//! carry 1-based line numbers.
 
-use super::{Request, RequestOp};
+use super::{Request, RequestOp, MAX_ARRIVAL_CYCLE};
 use std::fmt;
 
 /// Magic first line of a traffic trace file.
@@ -56,8 +57,9 @@ pub fn format_trace(reqs: &[Request]) -> String {
 
 /// Parse a trace file back into a request stream.
 ///
-/// Strict: a bad magic line, malformed field, or time travel (a request
-/// arriving before its predecessor) is an error, never silently skipped.
+/// Strict: a bad magic line, malformed field, time travel (a request
+/// arriving before its predecessor) or an arrival past
+/// [`MAX_ARRIVAL_CYCLE`] is an error, never silently skipped.
 pub fn parse_trace(text: &str) -> Result<Vec<Request>, TraceError> {
     let mut reqs = Vec::new();
     let mut header_seen = false;
@@ -93,6 +95,12 @@ pub fn parse_trace(text: &str) -> Result<Vec<Request>, TraceError> {
         let at: u64 = at_s
             .parse()
             .map_err(|_| err(lineno, format!("bad cycle {at_s:?}")))?;
+        if at > MAX_ARRIVAL_CYCLE {
+            return Err(err(
+                lineno,
+                format!("arrival {at} is past the last simulable cycle {MAX_ARRIVAL_CYCLE}"),
+            ));
+        }
         let op = match op_s {
             "get" => RequestOp::Get,
             "set" => RequestOp::Set,
@@ -181,6 +189,17 @@ mod tests {
 
         let text = format!("{TRACE_HEADER}\n10 get\n");
         assert!(parse_trace(&text).is_err());
+
+        // The last simulable cycle is accepted; past it is an error on
+        // the offending line.
+        let text = format!("{TRACE_HEADER}\n10 get 1\n{MAX_ARRIVAL_CYCLE} get 2\n");
+        assert_eq!(parse_trace(&text).unwrap()[1].at, MAX_ARRIVAL_CYCLE);
+        for at in [MAX_ARRIVAL_CYCLE + 1, u64::MAX] {
+            let text = format!("{TRACE_HEADER}\n10 get 1\n{at} get 2\n");
+            let e = parse_trace(&text).unwrap_err();
+            assert_eq!(e.line, 3, "{e}");
+            assert!(e.msg.contains(&at.to_string()), "{e}");
+        }
     }
 
     #[test]
