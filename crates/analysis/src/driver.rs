@@ -1,15 +1,16 @@
 //! Glue from the workload suite to the two analysis passes.
 //!
-//! [`lint_workload`] / [`lint_all_workloads`] run the static lint over
-//! the streams a workload generates, under the built-in waiver table
-//! ([`crate::waivers::BUILTIN_WAIVERS`]), so their reports correspond
+//! [`lint_run_with`] runs the static lint over the streams each
+//! workload generates under a waiver table, and [`lint_all_workloads`]
+//! runs it over the whole suite under the built-in table
+//! ([`crate::waivers::BUILTIN_WAIVERS`]), so its report corresponds
 //! exactly to what the CI gate enforces. The race pass simulates, so its
 //! leg is built where every closed-loop leg is (the harness's
 //! `run_race_check`); [`race_findings`] turns its report into lint-style
 //! findings for the same waiver table.
 
 use crate::extract::extract_streams;
-use crate::lint::{lint_streams, Finding, LintOptions, Severity};
+use crate::lint::{lint_streams, Finding, Severity};
 use crate::report::{LintRun, WorkloadLintReport};
 use crate::waivers::{self, Waiver};
 use asap_core::RaceReport;
@@ -27,9 +28,10 @@ pub struct AnalysisParams {
     pub seed: u64,
     /// Persistency flavor (epoch segmentation).
     pub flavor: Flavor,
-    /// Burst budget for static extraction.
-    pub max_bursts: u64,
 }
+
+/// Burst budget for static extraction of one workload.
+const MAX_BURSTS: u64 = 2_000_000;
 
 impl Default for AnalysisParams {
     fn default() -> AnalysisParams {
@@ -38,7 +40,6 @@ impl Default for AnalysisParams {
             ops_per_thread: 12,
             seed: 7,
             flavor: Flavor::Release,
-            max_bursts: 2_000_000,
         }
     }
 }
@@ -54,32 +55,18 @@ impl AnalysisParams {
     }
 }
 
-/// Statically lint one workload; waivers already applied.
-pub fn lint_workload(kind: WorkloadKind, p: &AnalysisParams) -> WorkloadLintReport {
-    lint_workload_with(kind, p, waivers::BUILTIN_WAIVERS)
-}
-
-/// Statically lint one workload under an explicit waiver table.
-pub fn lint_workload_with(
-    kind: WorkloadKind,
-    p: &AnalysisParams,
-    waivers: &[Waiver],
-) -> WorkloadLintReport {
-    lint_workload_usage(kind, p, waivers).0
-}
-
-/// [`lint_workload_with`] plus the waiver-usage vector the stale audit
-/// aggregates (parallel to `waivers`; see
-/// [`waivers::partition_with_usage`]).
-fn lint_workload_usage(
+/// Statically lint one workload under `waivers`: its report, plus the
+/// waiver-usage vector the stale audit aggregates (parallel to
+/// `waivers`; see [`waivers::partition`]).
+fn lint_workload(
     kind: WorkloadKind,
     p: &AnalysisParams,
     waivers: &[Waiver],
 ) -> (WorkloadLintReport, Vec<bool>) {
     let mut programs = make_workload(kind, &p.workload_params());
-    let extracted = extract_streams(&mut programs, p.max_bursts);
-    let findings = lint_streams(&extracted.streams, &LintOptions { flavor: p.flavor });
-    let (findings, waived, used) = waivers::partition_with_usage(findings, kind.label(), waivers);
+    let extracted = extract_streams(&mut programs, MAX_BURSTS);
+    let findings = lint_streams(&extracted.streams, p.flavor);
+    let (findings, waived, used) = waivers::partition(findings, kind.label(), waivers);
     (
         WorkloadLintReport {
             workload: kind.label().to_string(),
@@ -101,7 +88,7 @@ pub fn lint_run_with(kinds: &[WorkloadKind], p: &AnalysisParams, waivers: &[Waiv
     let mut used = vec![false; waivers.len()];
     let mut reports = Vec::with_capacity(kinds.len());
     for &k in kinds {
-        let (report, u) = lint_workload_usage(k, p, waivers);
+        let (report, u) = lint_workload(k, p, waivers);
         for (acc, fired) in used.iter_mut().zip(u) {
             *acc |= fired;
         }
@@ -152,7 +139,8 @@ mod tests {
 
     #[test]
     fn lints_a_real_workload_end_to_end() {
-        let report = lint_workload(WorkloadKind::Cceh, &quick());
+        let run = lint_run_with(&[WorkloadKind::Cceh], &quick(), waivers::BUILTIN_WAIVERS);
+        let report = &run.reports[0];
         assert_eq!(report.workload, "cceh");
         assert!(report.complete, "extraction hit the burst budget");
         assert!(report.micro_ops > 0);

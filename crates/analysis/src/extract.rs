@@ -36,10 +36,10 @@ impl ExtractedStreams {
 
 /// Run the programs to completion in the generation domain (no timing),
 /// collecting each thread's micro-op stream. Stops early after
-/// `max_bursts` total bursts.
+/// `burst_budget` total bursts.
 pub fn extract_streams(
     programs: &mut [Box<dyn ThreadProgram>],
-    max_bursts: u64,
+    burst_budget: u64,
 ) -> ExtractedStreams {
     let n = programs.len();
     let mut pm = PmSpace::new();
@@ -53,7 +53,7 @@ pub fn extract_streams(
             if finished[t] {
                 continue;
             }
-            if bursts >= max_bursts {
+            if bursts >= burst_budget {
                 return ExtractedStreams {
                     streams,
                     bursts,

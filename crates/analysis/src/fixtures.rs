@@ -218,22 +218,17 @@ impl ThreadProgram for LockedWriters {
 mod tests {
     use super::*;
     use crate::extract::extract_streams;
-    use crate::lint::{lint_streams, LintOptions};
+    use crate::lint::lint_streams;
     use asap_sim_core::Flavor;
 
     fn lint_fixture(p: Box<dyn ThreadProgram>) -> Vec<&'static str> {
         let mut programs = vec![p];
         let out = extract_streams(&mut programs, 1_000);
         assert!(out.complete);
-        lint_streams(
-            &out.streams,
-            &LintOptions {
-                flavor: Flavor::Release,
-            },
-        )
-        .iter()
-        .map(|f| f.rule)
-        .collect()
+        lint_streams(&out.streams, Flavor::Release)
+            .iter()
+            .map(|f| f.rule)
+            .collect()
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!    flush/fence discipline: stores left unpersisted at program end,
 //!    redundant flushes, fences with nothing to order, stores that dirty
 //!    a line after it was flushed, and programs with no persist barriers
-//!    at all. Rules implement the [`LintRule`] trait and are registered
-//!    in [`rules::default_rules`]; findings are machine-readable
+//!    at all. The rules are an `(id, check)` table, [`rules::RULES`],
+//!    that [`lint_streams`] runs; findings are machine-readable
 //!    ([`Finding`]) and render to a deterministic text/JSON report
 //!    ([`report`]).
 //!
@@ -54,6 +54,6 @@ pub mod waivers;
 pub use driver::AnalysisParams;
 pub use explore::{explore_all, CrashSpaceReport, ExploreParams, PruneMode};
 pub use extract::{extract_streams, ExtractedStreams};
-pub use lint::{lint_streams, Finding, LintOptions, LintRule, Severity, ThreadStream};
+pub use lint::{lint_streams, Finding, Severity, ThreadStream};
 pub use report::{LintRun, WorkloadLintReport};
 pub use waivers::Waiver;

@@ -1,16 +1,16 @@
-//! The lint framework: findings, epoch segmentation, the rule trait and
-//! the runner.
+//! The lint framework: findings, epoch segmentation and the runner.
 //!
 //! A [`ThreadStream`] wraps one thread's generation-order micro-op stream
 //! together with its segmentation into *epoch spans*. Segmentation
 //! follows the simulator's epoch boundaries: `ofence` and `dfence` always
 //! close an epoch; a `release` additionally closes one under release
-//! persistency (the flavor is a lint option so both disciplines can be
-//! checked). The barrier op itself belongs to the span it closes; ops
-//! after the last barrier form a trailing, *unclosed* span.
+//! persistency (the flavor is an argument of [`lint_streams`] so both
+//! disciplines can be checked). The barrier op itself belongs to the
+//! span it closes; ops after the last barrier form a trailing,
+//! *unclosed* span.
 //!
-//! Rules implement [`LintRule`] and look at one thread at a time — all
-//! five shipped rules ([`crate::rules`]) are thread-local, which is what
+//! [`lint_streams`] runs the rule table [`crate::rules::RULES`] over one
+//! thread at a time — all five rules are thread-local, which is what
 //! makes static (no-timing) checking sound. Cross-thread ordering is the
 //! persist-race detector's job (`asap_core::race`).
 
@@ -21,8 +21,6 @@ use std::fmt;
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Advisory; no correctness impact.
-    Info,
     /// Suspicious pattern; wasted work or fragile discipline.
     Warning,
     /// Crash-consistency correctness is at risk.
@@ -32,7 +30,6 @@ pub enum Severity {
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            Severity::Info => "info",
             Severity::Warning => "warning",
             Severity::Error => "error",
         })
@@ -94,8 +91,6 @@ pub struct EpochSpan {
 pub struct ThreadStream<'a> {
     /// Thread index.
     pub thread: usize,
-    /// Persistency flavor segmentation was done under.
-    pub flavor: Flavor,
     /// The full generation-order stream.
     pub ops: &'a [MemOp],
     /// Epoch spans covering `ops` (a trailing unclosed span is included
@@ -140,7 +135,6 @@ impl<'a> ThreadStream<'a> {
         }
         ThreadStream {
             thread,
-            flavor,
             ops,
             epochs,
         }
@@ -187,54 +181,19 @@ impl<'a> ThreadStream<'a> {
     }
 }
 
-/// A persist-discipline lint rule.
-pub trait LintRule {
-    /// Stable kebab-case identifier, e.g. `redundant-flush`.
-    fn id(&self) -> &'static str;
-    /// One-line description of what the rule flags.
-    fn summary(&self) -> &'static str;
-    /// Check one thread's stream, appending findings to `out`.
-    fn check(&self, stream: &ThreadStream<'_>, out: &mut Vec<Finding>);
-}
-
-/// Options controlling a lint run.
-#[derive(Debug, Clone, Copy)]
-pub struct LintOptions {
-    /// Persistency flavor used for epoch segmentation (the paper's main
-    /// results use release persistency).
-    pub flavor: Flavor,
-}
-
-impl Default for LintOptions {
-    fn default() -> LintOptions {
-        LintOptions {
-            flavor: Flavor::Release,
-        }
-    }
-}
-
-/// Run `rules` over every thread's stream; findings come back sorted by
-/// `(thread, op_index, rule)` so reports are deterministic.
-pub fn lint_streams_with(
-    rules: &[Box<dyn LintRule>],
-    streams: &[Vec<MemOp>],
-    opts: &LintOptions,
-) -> Vec<Finding> {
+/// Run [`crate::rules::RULES`] over every thread's stream, segmented
+/// under `flavor`; findings come back sorted by `(thread, op_index,
+/// rule)` so reports are deterministic.
+pub fn lint_streams(streams: &[Vec<MemOp>], flavor: Flavor) -> Vec<Finding> {
     let mut out = Vec::new();
     for (t, ops) in streams.iter().enumerate() {
-        let stream = ThreadStream::new(t, opts.flavor, ops);
-        for rule in rules {
-            rule.check(&stream, &mut out);
+        let stream = ThreadStream::new(t, flavor, ops);
+        for (id, check) in crate::rules::RULES {
+            check(id, &stream, &mut out);
         }
     }
     out.sort_by(|a, b| (a.thread, a.op_index, a.rule).cmp(&(b.thread, b.op_index, b.rule)));
     out
-}
-
-/// Run the default rule registry ([`crate::rules::default_rules`]) over
-/// every thread's stream.
-pub fn lint_streams(streams: &[Vec<MemOp>], opts: &LintOptions) -> Vec<Finding> {
-    lint_streams_with(&crate::rules::default_rules(), streams, opts)
 }
 
 #[cfg(test)]

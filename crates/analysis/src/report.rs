@@ -1,8 +1,8 @@
 //! Deterministic text and JSON rendering of lint/race results.
 //!
-//! The text form is the golden-fixture format (`tests/fixtures/` in the
-//! workspace root pins it over all 14 workloads) and what the
-//! `persist_lint` binary prints; the JSON form is the CI artifact.
+//! The text form is what the `persist_lint` binary prints; the JSON form
+//! is the CI artifact. Golden fixtures (`tests/fixtures/` in the
+//! workspace root) pin both over all 14 workloads.
 //! Both are fully deterministic: findings arrive pre-sorted from
 //! [`crate::lint::lint_streams`] and every map is rendered in sorted
 //! order. JSON is hand-rolled (the workspace is dependency-free).

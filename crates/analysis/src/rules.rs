@@ -1,4 +1,5 @@
-//! The shipped lint rules.
+//! The lint rules: [`RULES`], an `(id, check)` table in fixed
+//! reporting order.
 //!
 //! All five rules are *thread-local*: they judge one thread's stream
 //! against the epoch discipline, never cross-thread interleavings (the
@@ -13,58 +14,50 @@
 //! | `redundant-flush`    | warning | a flush of a line with no pending store in the epoch |
 //! | `useless-fence`      | warning | an `ofence` closing an empty epoch, or a `dfence` with nothing to drain |
 
-use crate::lint::{Finding, LintRule, Severity, ThreadStream};
+use crate::lint::{Finding, Severity, ThreadStream};
 use asap_core::MemOp;
 use asap_sim_core::LineAddr;
 use std::collections::HashMap;
 
-/// The default rule registry, in fixed reporting order.
-pub fn default_rules() -> Vec<Box<dyn LintRule>> {
-    vec![
-        Box::new(MissingPersist),
-        Box::new(MalformedEpoch),
-        Box::new(StoreAfterFlush),
-        Box::new(RedundantFlush),
-        Box::new(UselessFence),
-    ]
-}
+/// A rule's check: judge one thread's stream, appending findings tagged
+/// with the rule's `id` to `out`.
+pub type Check = fn(id: &'static str, s: &ThreadStream<'_>, out: &mut Vec<Finding>);
+
+/// Every rule as `(id, check)`, in fixed reporting order.
+pub const RULES: [(&str, Check); 5] = [
+    ("missing-persist", missing_persist),
+    ("malformed-epoch", malformed_epoch),
+    ("store-after-flush", store_after_flush),
+    ("redundant-flush", redundant_flush),
+    ("useless-fence", useless_fence),
+];
 
 /// Stores in the trailing unclosed epoch: nothing in the program orders
 /// them before the end of execution, so their durability rests entirely
 /// on the simulator's implicit retire drain — on real hardware, on luck.
 ///
-/// Streams with *no* barrier at all are skipped; [`MalformedEpoch`] owns
+/// Streams with *no* barrier at all are skipped; `malformed_epoch` owns
 /// that case (flagging every store there would drown its one finding).
-pub struct MissingPersist;
-
-impl LintRule for MissingPersist {
-    fn id(&self) -> &'static str {
-        "missing-persist"
+fn missing_persist(id: &'static str, s: &ThreadStream<'_>, out: &mut Vec<Finding>) {
+    if !s.has_barrier() {
+        return;
     }
-    fn summary(&self) -> &'static str {
-        "store with no persist barrier between it and program end"
-    }
-    fn check(&self, s: &ThreadStream<'_>, out: &mut Vec<Finding>) {
-        if !s.has_barrier() {
-            return;
-        }
-        let Some(tail) = s.epochs.last().filter(|e| e.closer.is_none()) else {
-            return;
-        };
-        for (i, line) in s.stores_in(tail) {
-            out.push(s.finding(
-                self.id(),
-                Severity::Error,
-                i,
-                tail.ts,
-                Some(line),
-                format!(
-                    "store to {:#x} is never followed by a persist barrier; \
-                     its durability depends on the implicit drain at thread retire",
-                    line.byte_addr()
-                ),
-            ));
-        }
+    let Some(tail) = s.epochs.last().filter(|e| e.closer.is_none()) else {
+        return;
+    };
+    for (i, line) in s.stores_in(tail) {
+        out.push(s.finding(
+            id,
+            Severity::Error,
+            i,
+            tail.ts,
+            Some(line),
+            format!(
+                "store to {:#x} is never followed by a persist barrier; \
+                 its durability depends on the implicit drain at thread retire",
+                line.byte_addr()
+            ),
+        ));
     }
 }
 
@@ -72,35 +65,25 @@ impl LintRule for MissingPersist {
 /// barrier: the whole run is one unbounded epoch and *no* write has any
 /// durability ordering. One finding per thread, anchored at the first
 /// store.
-pub struct MalformedEpoch;
-
-impl LintRule for MalformedEpoch {
-    fn id(&self) -> &'static str {
-        "malformed-epoch"
+fn malformed_epoch(id: &'static str, s: &ThreadStream<'_>, out: &mut Vec<Finding>) {
+    if s.has_barrier() {
+        return;
     }
-    fn summary(&self) -> &'static str {
-        "stream stores to PM but contains no persist barrier"
-    }
-    fn check(&self, s: &ThreadStream<'_>, out: &mut Vec<Finding>) {
-        if s.has_barrier() {
-            return;
-        }
-        let Some((i, line)) = s.epochs.first().and_then(|span| s.stores_in(span).next()) else {
-            return;
-        };
-        let stores: usize = s.epochs.iter().map(|e| s.stores_in(e).count()).sum();
-        out.push(s.finding(
-            self.id(),
-            Severity::Error,
-            i,
-            0,
-            Some(line),
-            format!(
-                "{stores} store(s) but no ofence/dfence/release anywhere in the stream; \
-                 the whole program is one unbounded epoch"
-            ),
-        ));
-    }
+    let Some((i, line)) = s.epochs.first().and_then(|span| s.stores_in(span).next()) else {
+        return;
+    };
+    let stores: usize = s.epochs.iter().map(|e| s.stores_in(e).count()).sum();
+    out.push(s.finding(
+        id,
+        Severity::Error,
+        i,
+        0,
+        Some(line),
+        format!(
+            "{stores} store(s) but no ofence/dfence/release anywhere in the stream; \
+             the whole program is one unbounded epoch"
+        ),
+    ));
 }
 
 /// A store that re-dirties a line *after* the line was flushed in the
@@ -108,52 +91,42 @@ impl LintRule for MalformedEpoch {
 /// `clwb` + `sfence` idiom the fence then orders the stale flushed
 /// image, not the final value. One finding per (line, epoch), anchored
 /// at the first offending store.
-pub struct StoreAfterFlush;
-
-impl LintRule for StoreAfterFlush {
-    fn id(&self) -> &'static str {
-        "store-after-flush"
-    }
-    fn summary(&self) -> &'static str {
-        "line dirtied after its flush with no re-flush before the epoch closes"
-    }
-    fn check(&self, s: &ThreadStream<'_>, out: &mut Vec<Finding>) {
-        for span in &s.epochs {
-            // line -> first un-reflushed store index after a flush
-            let mut flushed: HashMap<LineAddr, ()> = HashMap::new();
-            let mut hazard: HashMap<LineAddr, usize> = HashMap::new();
-            for i in span.start..span.end {
-                match &s.ops[i] {
-                    MemOp::Flush { addr } => {
-                        let line = LineAddr::containing(*addr);
-                        flushed.insert(line, ());
-                        hazard.remove(&line); // re-flushed: hazard cleared
-                    }
-                    op if op.is_store() => {
-                        let line = op.line().expect("stores have a line");
-                        if flushed.contains_key(&line) {
-                            hazard.entry(line).or_insert(i);
-                        }
-                    }
-                    _ => {}
+fn store_after_flush(id: &'static str, s: &ThreadStream<'_>, out: &mut Vec<Finding>) {
+    for span in &s.epochs {
+        // line -> first un-reflushed store index after a flush
+        let mut flushed: HashMap<LineAddr, ()> = HashMap::new();
+        let mut hazard: HashMap<LineAddr, usize> = HashMap::new();
+        for i in span.start..span.end {
+            match &s.ops[i] {
+                MemOp::Flush { addr } => {
+                    let line = LineAddr::containing(*addr);
+                    flushed.insert(line, ());
+                    hazard.remove(&line); // re-flushed: hazard cleared
                 }
+                op if op.is_store() => {
+                    let line = op.line().expect("stores have a line");
+                    if flushed.contains_key(&line) {
+                        hazard.entry(line).or_insert(i);
+                    }
+                }
+                _ => {}
             }
-            let mut pending: Vec<_> = hazard.into_iter().collect();
-            pending.sort_by_key(|&(_, i)| i);
-            for (line, i) in pending {
-                out.push(s.finding(
-                    self.id(),
-                    Severity::Warning,
-                    i,
-                    span.ts,
-                    Some(line),
-                    format!(
-                        "store re-dirties {:#x} after its flush and the line is not \
-                         flushed again before the epoch closes",
-                        line.byte_addr()
-                    ),
-                ));
-            }
+        }
+        let mut pending: Vec<_> = hazard.into_iter().collect();
+        pending.sort_by_key(|&(_, i)| i);
+        for (line, i) in pending {
+            out.push(s.finding(
+                id,
+                Severity::Warning,
+                i,
+                span.ts,
+                Some(line),
+                format!(
+                    "store re-dirties {:#x} after its flush and the line is not \
+                     flushed again before the epoch closes",
+                    line.byte_addr()
+                ),
+            ));
         }
     }
 }
@@ -161,64 +134,54 @@ impl LintRule for StoreAfterFlush {
 /// A flush of a line with no pending (unflushed) store in the current
 /// epoch: either the line was already flushed and not re-dirtied, or it
 /// was never stored this epoch. Pure overhead on the `clwb` path.
-pub struct RedundantFlush;
-
-impl LintRule for RedundantFlush {
-    fn id(&self) -> &'static str {
-        "redundant-flush"
-    }
-    fn summary(&self) -> &'static str {
-        "flush of a line with no pending store in the epoch"
-    }
-    fn check(&self, s: &ThreadStream<'_>, out: &mut Vec<Finding>) {
-        for span in &s.epochs {
-            // line -> true when flushed and not re-dirtied since
-            let mut clean: HashMap<LineAddr, bool> = HashMap::new();
-            for i in span.start..span.end {
-                match &s.ops[i] {
-                    MemOp::Flush { addr } => {
-                        let line = LineAddr::containing(*addr);
-                        match clean.get(&line) {
-                            Some(false) => {
-                                // pending store: this flush does real work
-                                clean.insert(line, true);
-                            }
-                            Some(true) => {
-                                out.push(s.finding(
-                                    self.id(),
-                                    Severity::Warning,
-                                    i,
-                                    span.ts,
-                                    Some(line),
-                                    format!(
-                                        "line {:#x} already flushed in this epoch with \
-                                         no intervening store",
-                                        line.byte_addr()
-                                    ),
-                                ));
-                            }
-                            None => {
-                                out.push(s.finding(
-                                    self.id(),
-                                    Severity::Warning,
-                                    i,
-                                    span.ts,
-                                    Some(line),
-                                    format!(
-                                        "flush of {:#x}, which has no store in this epoch",
-                                        line.byte_addr()
-                                    ),
-                                ));
-                                clean.insert(line, true);
-                            }
+fn redundant_flush(id: &'static str, s: &ThreadStream<'_>, out: &mut Vec<Finding>) {
+    for span in &s.epochs {
+        // line -> true when flushed and not re-dirtied since
+        let mut clean: HashMap<LineAddr, bool> = HashMap::new();
+        for i in span.start..span.end {
+            match &s.ops[i] {
+                MemOp::Flush { addr } => {
+                    let line = LineAddr::containing(*addr);
+                    match clean.get(&line) {
+                        Some(false) => {
+                            // pending store: this flush does real work
+                            clean.insert(line, true);
+                        }
+                        Some(true) => {
+                            out.push(s.finding(
+                                id,
+                                Severity::Warning,
+                                i,
+                                span.ts,
+                                Some(line),
+                                format!(
+                                    "line {:#x} already flushed in this epoch with \
+                                     no intervening store",
+                                    line.byte_addr()
+                                ),
+                            ));
+                        }
+                        None => {
+                            out.push(s.finding(
+                                id,
+                                Severity::Warning,
+                                i,
+                                span.ts,
+                                Some(line),
+                                format!(
+                                    "flush of {:#x}, which has no store in this epoch",
+                                    line.byte_addr()
+                                ),
+                            ));
+                            clean.insert(line, true);
                         }
                     }
-                    op if op.is_store() => {
-                        let line = op.line().expect("stores have a line");
-                        clean.insert(line, false);
-                    }
-                    _ => {}
                 }
+                op if op.is_store() => {
+                    let line = op.line().expect("stores have a line");
+                    clean.insert(line, false);
+                }
+                _ => {}
             }
         }
     }
@@ -227,57 +190,47 @@ impl LintRule for RedundantFlush {
 /// Fences that order nothing: an `ofence` closing an epoch with neither
 /// stores nor flushes, or a `dfence` when no store has happened since
 /// the previous `dfence` (nothing new to drain).
-pub struct UselessFence;
-
-impl LintRule for UselessFence {
-    fn id(&self) -> &'static str {
-        "useless-fence"
-    }
-    fn summary(&self) -> &'static str {
-        "fence with nothing to order or drain"
-    }
-    fn check(&self, s: &ThreadStream<'_>, out: &mut Vec<Finding>) {
-        let mut stores_since_dfence = false;
-        for span in &s.epochs {
-            let span_active = (span.start..span.end)
-                .any(|i| s.ops[i].is_store() || matches!(s.ops[i], MemOp::Flush { .. }));
-            let Some(closer) = span.closer else {
-                continue;
-            };
-            match &s.ops[closer] {
-                MemOp::OFence => {
-                    if !span_active {
-                        out.push(s.finding(
-                            self.id(),
+fn useless_fence(id: &'static str, s: &ThreadStream<'_>, out: &mut Vec<Finding>) {
+    let mut stores_since_dfence = false;
+    for span in &s.epochs {
+        let span_active = (span.start..span.end)
+            .any(|i| s.ops[i].is_store() || matches!(s.ops[i], MemOp::Flush { .. }));
+        let Some(closer) = span.closer else {
+            continue;
+        };
+        match &s.ops[closer] {
+            MemOp::OFence => {
+                if !span_active {
+                    out.push(s.finding(
+                        id,
+                        Severity::Warning,
+                        closer,
+                        span.ts,
+                        None,
+                        "ofence closes an epoch with no stores or flushes to order".to_string(),
+                    ));
+                }
+                stores_since_dfence |= span_active;
+            }
+            MemOp::DFence => {
+                if !stores_since_dfence && !span_active {
+                    out.push(
+                        s.finding(
+                            id,
                             Severity::Warning,
                             closer,
                             span.ts,
                             None,
-                            "ofence closes an epoch with no stores or flushes to order".to_string(),
-                        ));
-                    }
-                    stores_since_dfence |= span_active;
-                }
-                MemOp::DFence => {
-                    if !stores_since_dfence && !span_active {
-                        out.push(
-                            s.finding(
-                                self.id(),
-                                Severity::Warning,
-                                closer,
-                                span.ts,
-                                None,
-                                "dfence with no stores since the previous dfence; \
+                            "dfence with no stores since the previous dfence; \
                              nothing to drain"
-                                    .to_string(),
-                            ),
-                        );
-                    }
-                    stores_since_dfence = false;
+                                .to_string(),
+                        ),
+                    );
                 }
-                // A release closer is itself a store: always active.
-                _ => stores_since_dfence = true,
+                stores_since_dfence = false;
             }
+            // A release closer is itself a store: always active.
+            _ => stores_since_dfence = true,
         }
     }
 }
@@ -285,7 +238,7 @@ impl LintRule for UselessFence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::{lint_streams, LintOptions};
+    use crate::lint::lint_streams;
     use asap_pm_mem::{PmSpace, WriteJournal};
     use asap_sim_core::Flavor;
 
@@ -298,12 +251,7 @@ mod tests {
     }
 
     fn lint_one(ops: Vec<MemOp>) -> Vec<Finding> {
-        lint_streams(
-            &[ops],
-            &LintOptions {
-                flavor: Flavor::Epoch,
-            },
-        )
+        lint_streams(&[ops], Flavor::Epoch)
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
@@ -312,14 +260,10 @@ mod tests {
 
     #[test]
     fn registry_ids_are_unique() {
-        let rules = default_rules();
-        let mut ids: Vec<_> = rules.iter().map(|r| r.id()).collect();
+        let mut ids: Vec<_> = RULES.iter().map(|&(id, _)| id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), rules.len());
-        for r in &rules {
-            assert!(!r.summary().is_empty());
-        }
+        assert_eq!(ids.len(), RULES.len());
     }
 
     #[test]
@@ -456,20 +400,10 @@ mod tests {
             c.release_store(0x200, 1);
         });
         // Under release persistency the release closes the epoch: clean.
-        let f = lint_streams(
-            std::slice::from_ref(&stream),
-            &LintOptions {
-                flavor: Flavor::Release,
-            },
-        );
+        let f = lint_streams(std::slice::from_ref(&stream), Flavor::Release);
         assert!(f.is_empty(), "unexpected findings: {f:?}");
         // Under epoch persistency there is no barrier at all.
-        let f = lint_streams(
-            &[stream],
-            &LintOptions {
-                flavor: Flavor::Epoch,
-            },
-        );
+        let f = lint_streams(&[stream], Flavor::Epoch);
         assert_eq!(rules_of(&f), vec!["malformed-epoch"]);
     }
 
@@ -485,12 +419,7 @@ mod tests {
             c.ofence();
             c.ofence();
         });
-        let f = lint_streams(
-            &[t0, t1],
-            &LintOptions {
-                flavor: Flavor::Epoch,
-            },
-        );
+        let f = lint_streams(&[t0, t1], Flavor::Epoch);
         assert_eq!(rules_of(&f), vec!["missing-persist", "useless-fence"]);
         assert_eq!((f[0].thread, f[1].thread), (0, 1));
     }

@@ -1,10 +1,10 @@
 //! Waivers: acknowledged findings that should not fail CI.
 //!
-//! A [`Waiver`] matches findings by `(workload, rule)` — `"*"` matches
-//! any workload — and carries the reason the finding is considered
-//! benign. Waived findings still appear in reports (annotated
-//! `#[allow(persist_lint::<rule>)]`-style) so they stay visible; they
-//! just do not trip the `--deny-warnings` gate.
+//! A [`Waiver`] matches findings by `(workload, rule)` and carries the
+//! reason the finding is considered benign. Waived findings still
+//! appear in reports (annotated `#[allow(persist_lint::<rule>)]`-style)
+//! so they stay visible; they just do not trip the `--deny-warnings`
+//! gate.
 //!
 //! [`BUILTIN_WAIVERS`] is the shipped table for the 14 Table III
 //! workloads. Every entry covers one of two *intentional* patterns:
@@ -29,7 +29,7 @@ use crate::lint::Finding;
 /// One acknowledged finding pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Waiver {
-    /// Workload label the waiver applies to, or `"*"` for all.
+    /// Workload label the waiver applies to.
     pub workload: &'static str,
     /// Rule id the waiver applies to (e.g. `missing-persist`, or
     /// `persist-race` for the race detector).
@@ -41,7 +41,7 @@ pub struct Waiver {
 impl Waiver {
     /// Whether this waiver covers `finding` in `workload`.
     pub fn matches(&self, workload: &str, finding: &Finding) -> bool {
-        (self.workload == "*" || self.workload == workload) && self.rule == finding.rule
+        self.workload == workload && self.rule == finding.rule
     }
 }
 
@@ -124,20 +124,11 @@ pub const BUILTIN_WAIVERS: &[Waiver] = &[
     },
 ];
 
-/// Split findings into (active, waived-with-reason) under `waivers`.
+/// Split findings into (active, waived-with-reason) under `waivers`,
+/// plus a usage vector parallel to `waivers`: `used[i]` is `true` iff
+/// waiver `i` matched at least one finding. The audit input for
+/// [`stale_waivers`].
 pub fn partition(
-    findings: Vec<Finding>,
-    workload: &str,
-    waivers: &[Waiver],
-) -> (Vec<Finding>, Vec<(Finding, String)>) {
-    let (active, waived, _) = partition_with_usage(findings, workload, waivers);
-    (active, waived)
-}
-
-/// [`partition`] plus a usage vector parallel to `waivers`: `used[i]`
-/// is `true` iff waiver `i` matched at least one finding. The audit
-/// input for [`stale_waivers`].
-pub fn partition_with_usage(
     findings: Vec<Finding>,
     workload: &str,
     waivers: &[Waiver],
@@ -167,26 +158,14 @@ pub fn partition_with_usage(
 /// turns that into a CI failure (`persist_lint --deny-warnings`).
 ///
 /// `used` is the element-wise OR of every linted workload's usage
-/// vector from [`partition_with_usage`]; `linted` names the workloads
-/// that were actually linted. A workload-specific waiver is audited
-/// only when its workload was linted; a `"*"` waiver is audited only
-/// when the whole suite was (anything less could false-positive on a
-/// partial run).
+/// vector from [`partition`]; `linted` names the workloads that were
+/// actually linted. A waiver is audited only when its workload was
+/// linted (anything else could false-positive on a partial run).
 pub fn stale_waivers(waivers: &[Waiver], linted: &[&str], used: &[bool]) -> Vec<(String, String)> {
-    let whole_suite = asap_workloads::WorkloadKind::all()
-        .iter()
-        .all(|k| linted.contains(&k.label()));
     waivers
         .iter()
         .zip(used)
-        .filter(|&(w, &u)| {
-            let auditable = if w.workload == "*" {
-                whole_suite
-            } else {
-                linted.contains(&w.workload)
-            };
-            auditable && !u
-        })
+        .filter(|&(w, &u)| linted.contains(&w.workload) && !u)
         .map(|(w, _)| (w.workload.to_string(), w.rule.to_string()))
         .collect()
 }
@@ -218,12 +197,6 @@ mod tests {
         assert!(w.matches("cceh", &finding("useless-fence")));
         assert!(!w.matches("echo", &finding("useless-fence")));
         assert!(!w.matches("cceh", &finding("missing-persist")));
-        let any = Waiver {
-            workload: "*",
-            rule: "useless-fence",
-            reason: "r",
-        };
-        assert!(any.matches("echo", &finding("useless-fence")));
     }
 
     #[test]
@@ -244,18 +217,11 @@ mod tests {
                 rule: "useless-fence",
                 reason: "not linted here",
             },
-            Waiver {
-                workload: "*",
-                rule: "useless-fence",
-                reason: "needs whole suite",
-            },
         ];
-        let (_, _, used) =
-            partition_with_usage(vec![finding("redundant-flush")], "queue", &waivers);
-        assert_eq!(used, vec![true, false, false, false]);
+        let (_, _, used) = partition(vec![finding("redundant-flush")], "queue", &waivers);
+        assert_eq!(used, vec![true, false, false]);
         let stale = stale_waivers(&waivers, &["queue"], &used);
-        // Only the queue-specific unfired waiver is stale: cceh was not
-        // linted and "*" needs the whole suite.
+        // Only the queue unfired waiver is stale: cceh was not linted.
         assert_eq!(
             stale,
             vec![("queue".to_string(), "missing-persist".to_string())]
@@ -265,11 +231,11 @@ mod tests {
     #[test]
     fn partition_splits_and_carries_reason() {
         let waivers = [Waiver {
-            workload: "*",
+            workload: "cceh",
             rule: "redundant-flush",
             reason: "known benign",
         }];
-        let (active, waived) = partition(
+        let (active, waived, _) = partition(
             vec![finding("redundant-flush"), finding("missing-persist")],
             "cceh",
             &waivers,
@@ -282,9 +248,9 @@ mod tests {
 
     #[test]
     fn builtin_table_rules_reference_real_rules() {
-        let known: Vec<_> = crate::rules::default_rules()
+        let known: Vec<_> = crate::rules::RULES
             .iter()
-            .map(|r| r.id())
+            .map(|&(id, _)| id)
             .chain(std::iter::once("persist-race"))
             .collect();
         for w in BUILTIN_WAIVERS {

@@ -229,23 +229,6 @@ impl<'a> BurstCtx<'a> {
         self.ops.push(MemOp::Store { addr, seq, data });
     }
 
-    /// Functional write of raw bytes; emits one store per touched line.
-    pub fn store_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        self.pm.write_bytes(addr, bytes);
-        let first = LineAddr::containing(addr);
-        let last = LineAddr::containing(addr + bytes.len().saturating_sub(1) as u64);
-        let mut line = first;
-        loop {
-            let a = line.byte_addr().max(addr);
-            let (seq, data) = self.journal_store(a);
-            self.ops.push(MemOp::Store { addr: a, seq, data });
-            if line == last {
-                break;
-            }
-            line = LineAddr::containing(line.byte_addr() + 64);
-        }
-    }
-
     /// Atomic compare-and-swap, resolved functionally *now* (generation
     /// instants are serialized).
     ///
@@ -475,20 +458,6 @@ mod tests {
         // A failed CAS observed the holder's plain store, not a release:
         // no synchronizes-with edge, hence an ordinary load.
         assert!(matches!(ops[0], MemOp::Load { .. }));
-    }
-
-    #[test]
-    fn store_bytes_emits_one_store_per_line() {
-        let (mut pm, mut j) = ctx_fixture();
-        let mut ctx = BurstCtx::new(&mut pm, &mut j);
-        let data = vec![0xabu8; 100]; // spans 2-3 lines depending on alignment
-        ctx.store_bytes(0x1020, &data);
-        let (ops, _, _) = ctx.into_parts();
-        // 0x1020..0x1084 touches lines 0x1000, 0x1040, 0x1080
-        assert_eq!(ops.iter().filter(|o| o.is_store()).count(), 3);
-        let mut out = vec![0u8; 100];
-        pm.read_bytes(0x1020, &mut out);
-        assert_eq!(out, data);
     }
 
     #[test]

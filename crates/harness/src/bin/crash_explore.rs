@@ -117,6 +117,12 @@ fn main() {
     let json = arg(&argv, "--json");
     let min_points = parse_arg::<u64>(&argv, "--assert-min-points");
     let min_prune = parse_arg::<f64>(&argv, "--assert-min-prune");
+    // A percentage outside [0, 100], NaN included, could never gate.
+    if let Some(pct) = min_prune.filter(|pct| !(0.0..=100.0).contains(pct)) {
+        usage_error(&format!(
+            "--assert-min-prune must be within [0,100], got {pct}"
+        ));
+    }
     if let Some(n) = parse_arg(&argv, "--workers") {
         pool::set_worker_override(n);
     }

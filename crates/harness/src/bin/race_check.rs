@@ -69,7 +69,7 @@ fn main() {
             seed,
         };
         let (out, report) = run_race_check(&spec);
-        let (active, waived) = partition(race_findings(&report), kind.label(), BUILTIN_WAIVERS);
+        let (active, waived, _) = partition(race_findings(&report), kind.label(), BUILTIN_WAIVERS);
         fatal += active.len();
         println!(
             "{kind}: {} race(s) ({} waived) — {} lines, {} cross-thread pairs, \

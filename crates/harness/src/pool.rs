@@ -50,11 +50,6 @@ pub fn set_progress(on: bool) {
     PROGRESS.store(on, Ordering::Relaxed);
 }
 
-/// Whether [`set_progress`] reporting is currently enabled.
-pub fn progress_enabled() -> bool {
-    PROGRESS.load(Ordering::Relaxed)
-}
-
 /// Pure worker-count resolution: `override_` (a [`set_worker_override`]
 /// value, 0 = unset) wins, else `fallback` (available parallelism),
 /// floored at 1. Factored out of [`num_workers`] so the resolution
@@ -87,7 +82,7 @@ struct Progress {
 
 impl Progress {
     fn new(total: usize) -> Option<Progress> {
-        (progress_enabled() && total > 0).then(|| Progress {
+        (PROGRESS.load(Ordering::Relaxed) && total > 0).then(|| Progress {
             total,
             completed: AtomicUsize::new(0),
             started: Instant::now(),

@@ -166,6 +166,16 @@ fn malformed_budget_exits_two_naming_flag_and_value() {
     let out = explore(&["--prune", "sometimes"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr_of(&out).contains("sometimes"));
+
+    // A prune bound outside [0, 100] could never gate: rejected before
+    // anything is explored.
+    for bad in ["nan", "-5", "101"] {
+        let out = explore(&["--assert-min-prune", bad]);
+        assert_eq!(out.status.code(), Some(2), "--assert-min-prune {bad}");
+        let err = stderr_of(&out);
+        assert!(err.contains("--assert-min-prune"), "{bad}: {err}");
+        assert!(out.stdout.is_empty(), "{bad}: {}", stdout_of(&out));
+    }
 }
 
 #[test]

@@ -61,7 +61,6 @@ impl Error for AllocError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct PmAllocator {
-    base: u64,
     limit: u64,
     next: u64,
     free_lists: HashMap<u64, Vec<u64>>,
@@ -82,7 +81,6 @@ impl PmAllocator {
         );
         assert!(size > 0, "allocator size must be nonzero");
         PmAllocator {
-            base,
             limit: base + size,
             next: base,
             free_lists: HashMap::new(),
@@ -136,11 +134,6 @@ impl PmAllocator {
     /// Bytes currently allocated.
     pub fn allocated_bytes(&self) -> u64 {
         self.allocated
-    }
-
-    /// Base address of the arena.
-    pub fn base(&self) -> u64 {
-        self.base
     }
 
     /// Bytes never yet handed out (bump frontier to limit).

@@ -174,18 +174,6 @@ impl PmSpace {
         self.write_bytes(addr, &v.to_le_bytes());
     }
 
-    /// Read a little-endian `u32`.
-    pub fn read_u32(&self, addr: u64) -> u32 {
-        let mut buf = [0u8; 4];
-        self.read_bytes(addr, &mut buf);
-        u32::from_le_bytes(buf)
-    }
-
-    /// Write a little-endian `u32`.
-    pub fn write_u32(&mut self, addr: u64, v: u32) {
-        self.write_bytes(addr, &v.to_le_bytes());
-    }
-
     /// Snapshot the 64-byte cache line containing `line`.
     pub fn snapshot_line(&self, line: LineAddr) -> LineSnapshot {
         let mut buf = [0u8; CACHE_LINE_BYTES as usize];
@@ -210,13 +198,6 @@ mod tests {
         let mut pm = PmSpace::new();
         pm.write_u64(0x100, u64::MAX - 3);
         assert_eq!(pm.read_u64(0x100), u64::MAX - 3);
-    }
-
-    #[test]
-    fn u32_round_trip() {
-        let mut pm = PmSpace::new();
-        pm.write_u32(0x104, 0xabcd_1234);
-        assert_eq!(pm.read_u32(0x104), 0xabcd_1234);
     }
 
     #[test]
