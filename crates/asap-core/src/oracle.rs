@@ -180,7 +180,7 @@ pub fn check(journal: &WriteJournal, deps: &DepGraph, nvm: &NvmImage) -> CrashRe
     // dependencies.
     let mut visible: Vec<Vec<bool>> = Vec::new();
     let mut hi: Vec<u64> = Vec::new();
-    for (&line, rec) in nvm.iter() {
+    for (line, rec) in nvm.iter() {
         report.lines_checked += 1;
         match rec.seq {
             Some(seq) => {

@@ -9,10 +9,13 @@
 //! The flush *policy* — conservative (HOPS) versus eager with early bits
 //! (ASAP) — lives in the simulator; the buffer itself only tracks entry
 //! state and answers "what could be flushed next".
+//!
+//! A buffer holds a few dozen entries (Table II: 32; the ablations go
+//! up to 64), so every question about it — which entry may flush next,
+//! whether a line is buffered — is answered by scanning the entries.
 
 use asap_pm_mem::LineSnapshot;
-use asap_sim_core::{mix64, EpochId, LineAddr};
-use std::cell::RefCell;
+use asap_sim_core::{EpochId, LineAddr};
 use std::collections::VecDeque;
 
 /// Lifecycle of one persist-buffer entry.
@@ -73,14 +76,6 @@ pub struct PersistBuffer {
     /// `TryFlush` runs is skipped in the (overwhelmingly common) case of
     /// no pending retries.
     nacked: usize,
-    /// Distinct lines present with their entry counts, maintained on
-    /// enqueue/ack: `holds_line` runs on every LLC-miss load, and
-    /// scanning 12-byte pairs beats walking the (much wider) entry deque.
-    present: Vec<(u64, u32)>,
-    /// Reusable scan state for [`PersistBuffer::next_flushable`] (in a
-    /// `RefCell` because the scan is logically read-only and its callers
-    /// hold `&self`). See [`ScanScratch`].
-    scratch: RefCell<ScanScratch>,
     /// Monotonic content-mutation counter: bumped when an entry's payload
     /// changes (enqueue — both the coalesce and new-entry arms) or an
     /// entry leaves the buffer (ack). State-only transitions
@@ -89,115 +84,6 @@ pub struct PersistBuffer {
     /// only content changes can alter the recovered image. The
     /// crash-space explorer keys BBB's pruning digest on this.
     version: u64,
-}
-
-/// Scratch tables for the single-pass `next_flushable` scan.
-///
-/// The naive formulation ("does any *older* entry share my line, same
-/// epoch, or sit NACKed?") is a quadratic pairwise scan — and the scan
-/// runs on almost every event for the blocked-PB accounting, which made
-/// it one of the largest single costs in the ASAP/HOPS sweeps. Instead,
-/// one forward pass accumulates per-line and per-(line, epoch) facts
-/// about the entries already visited in two small open-addressed
-/// tables, so each entry's blocked test is O(1) probes.
-///
-/// Slots are generation-stamped: `begin` bumps `gen` instead of zeroing
-/// the tables, so an empty or near-empty buffer pays almost nothing.
-#[derive(Debug, Clone, Default)]
-struct ScanScratch {
-    gen: u64,
-    /// Per-line facts: slot → (generation, line key, `NACKED` flag bit).
-    line_gen: Vec<u64>,
-    line_key: Vec<u64>,
-    line_nacked: Vec<bool>,
-    /// Per-(line, epoch-ts) presence: slot → (generation, line key, ts).
-    pair_gen: Vec<u64>,
-    pair_key: Vec<(u64, u64)>,
-    mask: usize,
-}
-
-impl ScanScratch {
-    /// Start a scan over a buffer of `capacity` entries.
-    fn begin(&mut self, capacity: usize) {
-        let want = (capacity.max(4) * 2).next_power_of_two();
-        if self.line_gen.len() < want {
-            self.line_gen = vec![0; want];
-            self.line_key = vec![0; want];
-            self.line_nacked = vec![false; want];
-            self.pair_gen = vec![0; want];
-            self.pair_key = vec![(0, 0); want];
-            self.mask = want - 1;
-            self.gen = 0;
-        }
-        self.gen += 1;
-    }
-
-    /// Probe the line table for `key`; returns the slot holding it (live
-    /// this generation) or the empty slot where it would go.
-    #[inline]
-    fn line_slot(&self, key: u64) -> (usize, bool) {
-        let mut slot = (mix64(key) as usize) & self.mask;
-        loop {
-            if self.line_gen[slot] != self.gen {
-                return (slot, false);
-            }
-            if self.line_key[slot] == key {
-                return (slot, true);
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
-    #[inline]
-    fn pair_slot(&self, key: (u64, u64)) -> (usize, bool) {
-        let mut slot = (mix64(key.0 ^ mix64(key.1)) as usize) & self.mask;
-        loop {
-            if self.pair_gen[slot] != self.gen {
-                return (slot, false);
-            }
-            if self.pair_key[slot] == key {
-                return (slot, true);
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
-    /// Record a visited entry as "older" state for subsequent entries.
-    #[inline]
-    fn insert(&mut self, line: u64, ts: u64, nacked: bool) {
-        let (slot, found) = self.line_slot(line);
-        if found {
-            self.line_nacked[slot] |= nacked;
-        } else {
-            self.line_gen[slot] = self.gen;
-            self.line_key[slot] = line;
-            self.line_nacked[slot] = nacked;
-        }
-        let (slot, found) = self.pair_slot((line, ts));
-        if !found {
-            self.pair_gen[slot] = self.gen;
-            self.pair_key[slot] = (line, ts);
-        }
-    }
-
-    /// Whether any visited entry uses `line`.
-    #[inline]
-    fn any_line(&self, line: u64) -> bool {
-        self.line_slot(line).1
-    }
-
-    /// Whether a visited entry on `line` sits NACKed.
-    #[inline]
-    fn nacked_line(&self, line: u64) -> bool {
-        let (slot, found) = self.line_slot(line);
-        found && self.line_nacked[slot]
-    }
-
-    /// Whether a visited entry matches (`line`, `ts`) exactly.
-    #[inline]
-    fn pair_seen(&self, line: u64, ts: u64) -> bool {
-        self.pair_slot((line, ts)).1
-    }
 }
 
 impl PersistBuffer {
@@ -209,8 +95,6 @@ impl PersistBuffer {
             next_id: 0,
             waiting: 0,
             nacked: 0,
-            present: Vec::with_capacity(capacity),
-            scratch: RefCell::new(ScanScratch::default()),
             version: 0,
         }
     }
@@ -280,11 +164,6 @@ impl PersistBuffer {
             state: PbEntryState::Waiting,
         });
         self.waiting += 1;
-        let key = line.index();
-        match self.present.iter_mut().find(|(l, _)| *l == key) {
-            Some((_, n)) => *n += 1,
-            None => self.present.push((key, 1)),
-        }
         Ok(None)
     }
 
@@ -307,22 +186,15 @@ impl PersistBuffer {
     where
         F: Fn(EpochId) -> bool,
     {
-        // Single forward pass: `scratch` accumulates facts about the
-        // entries already visited (exactly the "older" set of the naive
-        // pairwise formulation), so each candidate's blocked test costs
-        // O(1) probes instead of a rescan. Scratch population is *lazy*:
-        // it only catches up to the oldest `Waiting` candidate that
-        // actually needs a blocked test, so the common steady states —
-        // everything in flight, or the head entry flushable — touch the
-        // tables not at all. `eligible` is memoized per epoch run —
-        // entries arrive in epoch order, so one (ts, verdict) pair
+        // The scan is skipped outright when nothing waits (the
+        // all-in-flight steady state). `eligible` is memoized per epoch
+        // run — entries arrive in epoch order, so one (ts, verdict) pair
         // absorbs almost every call (HOPS's eligibility walks the epoch
-        // table; asking per entry was measurable).
+        // table; asking per entry was measurable). Epochs compare by
+        // `ts` alone: a buffer holds one core's epochs.
         if self.waiting == 0 {
             return None;
         }
-        let mut scratch = None;
-        let mut inserted = 0usize;
         let mut memo: Option<(u64, bool)> = None;
         for (i, e) in self.entries.iter().enumerate() {
             if e.state != PbEntryState::Waiting {
@@ -339,25 +211,10 @@ impl PersistBuffer {
             if !ok {
                 continue;
             }
-            if i == 0 {
-                return Some(e);
-            }
-            let scratch = scratch.get_or_insert_with(|| {
-                let mut s = self.scratch.borrow_mut();
-                s.begin(self.capacity.max(self.entries.len()));
-                s
+            let blocked = self.entries.range(..i).any(|o| {
+                o.line == e.line
+                    && (strict_lines || o.state == PbEntryState::Nacked || o.epoch.ts == e.epoch.ts)
             });
-            while inserted < i {
-                let o = &self.entries[inserted];
-                scratch.insert(o.line.index(), o.epoch.ts, o.state == PbEntryState::Nacked);
-                inserted += 1;
-            }
-            let line = e.line.index();
-            let blocked = if strict_lines {
-                scratch.any_line(line)
-            } else {
-                scratch.nacked_line(line) || scratch.pair_seen(line, e.epoch.ts)
-            };
             if !blocked {
                 return Some(e);
             }
@@ -435,13 +292,6 @@ impl PersistBuffer {
                 PbEntryState::Nacked => self.nacked -= 1,
                 PbEntryState::Inflight => {}
             }
-            let key = e.line.index();
-            if let Some(i) = self.present.iter().position(|(l, _)| *l == key) {
-                self.present[i].1 -= 1;
-                if self.present[i].1 == 0 {
-                    self.present.swap_remove(i);
-                }
-            }
         }
         e
     }
@@ -453,8 +303,7 @@ impl PersistBuffer {
 
     /// Whether the buffer holds data for `line` (load forwarding).
     pub fn holds_line(&self, line: LineAddr) -> bool {
-        let key = line.index();
-        self.present.iter().any(|&(l, _)| l == key)
+        self.entries.iter().any(|e| e.line == line)
     }
 
     /// Iterate over entries oldest-first.

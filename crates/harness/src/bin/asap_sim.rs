@@ -25,7 +25,8 @@
 //!   cycles (default 10000).
 //!
 //! Every run prints its provenance manifest (model, workload, seed,
-//! config digest, wall time) as one JSON line on stderr.
+//! `--zipf` when given, config digest, wall time) as one JSON line on
+//! stderr.
 //!
 //! Malformed flag values are hard errors (exit status 2), not silent
 //! fallbacks to defaults — see [`asap_harness::args`].
@@ -118,6 +119,7 @@ fn run() -> i32 {
         ops_per_thread: ops,
         seed,
     });
+    manifest.zipf_theta = zipf;
 
     eprintln!("simulating {workload} under {model}_{flavor} on {threads} threads, {ops} ops/thread (seed {seed})");
     let t0 = std::time::Instant::now();

@@ -15,7 +15,7 @@
 //!
 //! A figure name selects an entry of the
 //! [`asap_harness::experiments::FIGURES`] registry; `--ops N` overrides
-//! its ops per thread. Every sweep runs through the executor layer
+//! its ops per thread (N ≥ 1). Every sweep runs through the executor layer
 //! ([`asap_harness::exec`]): with `--cache-dir`, completed legs persist
 //! to a digest-keyed outcome cache and re-runs only simulate missing or
 //! changed legs (figures that share legs share cache entries), so a
@@ -36,7 +36,8 @@
 //! file on every (app, model) pair instead of generating banks. Replayed
 //! legs never touch the outcome cache: their bank comes from a file the
 //! spec digest cannot see. A `--gap` × `--requests` product, or a
-//! replayed arrival, past [`MAX_ARRIVAL_CYCLE`] (2^48 cycles) exits 2.
+//! replayed arrival, past [`MAX_ARRIVAL_CYCLE`] (2^48 cycles) exits 2,
+//! as does a `--requests` of 0 or above [`MAX_REQUESTS`] (2^24).
 //!
 //! The sweep report (leg counts, cache hits, wall time) goes to stderr;
 //! `--cache-stats PATH` additionally writes it as JSON for CI gates.
@@ -53,8 +54,9 @@ use asap_harness::traffic::{
 };
 use asap_sim_core::{Flavor, ModelKind};
 use asap_workloads::traffic::{
-    format_trace, generate, parse_trace, ArrivalKind, MAX_ARRIVAL_CYCLE,
+    format_trace, generate, parse_trace, ArrivalKind, MAX_ARRIVAL_CYCLE, MAX_REQUESTS,
 };
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 /// The accepted sweep names: every registry entry, then `traffic`.
@@ -119,8 +121,13 @@ fn traffic_scale(argv: &[String], sa: &SweepArgs) -> TrafficScale {
         }
         scale.gaps = vec![gap];
     }
-    if let Some(n) = parse_arg(argv, "--requests") {
-        scale.requests = n;
+    if let Some(n) = parse_arg::<NonZeroU64>(argv, "--requests") {
+        if n.get() > MAX_REQUESTS {
+            usage_error(&format!(
+                "invalid value '{n}' for --requests: at most {MAX_REQUESTS} requests a leg"
+            ));
+        }
+        scale.requests = n.get();
     }
     // A leg's arrivals span about gap × requests cycles.
     for &gap in &scale.gaps {
@@ -225,8 +232,8 @@ fn main() {
 
     let report = if let Some(fig) = figure(&sub) {
         let mut scale = sa.scale();
-        if let Some(ops) = parse_arg(&argv, "--ops") {
-            scale.ops = ops;
+        if let Some(ops) = parse_arg::<NonZeroU64>(&argv, "--ops") {
+            scale.ops = ops.get();
         }
         let (tables, report) = sweep_figure(fig, scale, &sa);
         for t in &tables {

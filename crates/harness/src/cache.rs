@@ -146,6 +146,9 @@ pub fn encode_outcome(o: &RunOutcome) -> String {
         o.manifest.config_digest,
         o.manifest.wall.as_nanos().min(u64::MAX as u128),
     );
+    if let Some(z) = o.manifest.zipf_theta {
+        let _ = write!(out, " zipf={:016x}", z.to_bits());
+    }
     for (field, value) in o.stats.fields() {
         let _ = write!(out, " {field}=");
         match value {
@@ -195,6 +198,10 @@ pub fn decode_outcome(line: &str) -> Option<RunOutcome> {
         ops_per_thread: m.remove("opst")?.parse().ok()?,
         seed: m.remove("seed")?.parse().ok()?,
         config_digest: u64::from_str_radix(m.remove("cfg")?, 16).ok()?,
+        zipf_theta: match m.remove("zipf") {
+            Some(bits) => Some(f64::from_bits(u64::from_str_radix(bits, 16).ok()?)),
+            None => None,
+        },
         wall: Duration::from_nanos(m.remove("wallns")?.parse().ok()?),
     };
     let out = RunOutcome {
@@ -371,8 +378,10 @@ mod tests {
         let out = run_once(&tiny_spec());
         // Distinct values in every `Stats` field, so two fields swapping
         // keys in the codec cannot round-trip (the real run leaves
-        // seven counters at 0).
+        // seven counters at 0), and a Zipf skew, whose key only a run
+        // that set one writes.
         let mut distinct = out.clone();
+        distinct.manifest.zipf_theta = Some(0.9);
         for (n, &field) in (1u64..).zip(Stats::FIELDS) {
             match distinct.stats.field_mut(field).expect("declared field") {
                 StatMut::Counter(v) => *v = n,
@@ -385,6 +394,7 @@ mod tests {
         for out in [out, distinct] {
             let line = encode_outcome(&out);
             assert!(!line.contains('\n'));
+            assert_eq!(line.contains(" zipf="), out.manifest.zipf_theta.is_some());
             let back = decode_outcome(&line).expect("own encoding must decode");
             for ((field, got), (_, want)) in back.stats.fields().zip(out.stats.fields()) {
                 assert_eq!(got, want, "{field}");
@@ -409,6 +419,7 @@ mod tests {
         assert!(decode_outcome(&line.replace("kind=run", "kind=x")).is_none());
         assert!(decode_outcome(&line[..line.len() / 2]).is_none());
         assert!(decode_outcome(&line.replace("alldone=1", "alldone=2")).is_none());
+        assert!(decode_outcome(&format!("{line} zipf=0.9")).is_none());
 
         // Checksummed entries guard nothing against these: each must be
         // a miss, never a panic or an abort on a huge allocation.

@@ -60,6 +60,9 @@ pub struct RunManifest {
     pub seed: u64,
     /// [`SimConfig::digest`] of the hardware configuration.
     pub config_digest: u64,
+    /// Zipf skew of key popularity, when the run overrode the
+    /// workload's default (`asap_sim --zipf`).
+    pub zipf_theta: Option<f64>,
     /// Host wall-clock duration of the run. Excluded from equality:
     /// two runs of the same spec are the same run, however long the
     /// host happened to take.
@@ -75,6 +78,7 @@ impl PartialEq for RunManifest {
             && self.ops_per_thread == other.ops_per_thread
             && self.seed == other.seed
             && self.config_digest == other.config_digest
+            && self.zipf_theta == other.zipf_theta
     }
 }
 
@@ -90,17 +94,22 @@ impl RunManifest {
             ops_per_thread: spec.ops_per_thread,
             seed: spec.seed,
             config_digest: spec.config.digest(),
+            zipf_theta: None,
             wall: Duration::ZERO,
         }
     }
 
     /// Render as a single JSON object (hand-rolled; every field is a
     /// number, a known label or a hex digest, so no escaping is needed).
+    /// `zipf_theta` appears only when set.
     pub fn to_json(&self) -> String {
+        let zipf = self
+            .zipf_theta
+            .map_or_else(String::new, |z| format!("\"zipf_theta\":{z},"));
         format!(
             concat!(
                 "{{\"model\":\"{}\",\"flavor\":\"{}\",\"workload\":\"{}\",",
-                "\"threads\":{},\"ops_per_thread\":{},\"seed\":{},",
+                "\"threads\":{},\"ops_per_thread\":{},\"seed\":{},{}",
                 "\"config_digest\":\"{:016x}\",\"wall_ms\":{:.3}}}"
             ),
             self.model,
@@ -109,6 +118,7 @@ impl RunManifest {
             self.threads,
             self.ops_per_thread,
             self.seed,
+            zipf,
             self.config_digest,
             self.wall.as_secs_f64() * 1e3,
         )
@@ -305,6 +315,9 @@ mod tests {
         let mut diff = m.clone();
         diff.seed = 8;
         assert_ne!(*m, diff);
+        let mut diff = m.clone();
+        diff.zipf_theta = Some(0.9);
+        assert_ne!(*m, diff);
     }
 
     #[test]
@@ -326,5 +339,12 @@ mod tests {
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
+        assert!(!j.contains("zipf"), "unset zipf_theta rendered: {j}");
+        m.zipf_theta = Some(0.9);
+        let j = m.to_json();
+        assert!(
+            j.contains("\"seed\":7,\"zipf_theta\":0.9,\"config_digest\""),
+            "{j}"
+        );
     }
 }

@@ -134,6 +134,9 @@ fn bad_usage_exits_two() {
         vec!["fig13", "--cache-dir", "--resume"],
         vec!["fig13", "--cache-stats"],
         vec!["traffic", "--replay", "--json"],
+        vec!["fig10", "--ops", "0"], // a table of NaN
+        vec!["traffic", "--requests", "0"],
+        vec!["traffic", "--requests", "16777217"], // past MAX_REQUESTS
     ] {
         let out = sweep(&argv);
         assert_eq!(

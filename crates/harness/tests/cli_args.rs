@@ -97,6 +97,32 @@ fn valid_tiny_run_succeeds_and_prints_manifest() {
     assert!(err.contains("\"config_digest\":\""), "{err}");
 }
 
+/// The `# manifest` JSON line `out` printed on stderr, without its
+/// host wall time.
+fn manifest_of(out: &Output) -> String {
+    let err = stderr_of(out);
+    let line = err
+        .lines()
+        .find_map(|l| l.strip_prefix("# manifest "))
+        .unwrap_or_else(|| panic!("manifest line missing: {err}"));
+    line[..line.find("\"wall_ms\"").expect("wall_ms")].to_string()
+}
+
+#[test]
+fn zipf_is_part_of_the_manifest() {
+    // Same spec, different key skew: different runs (97,868 and
+    // 92,558 cycles), so they must not share one provenance line.
+    let base = ["--workload", "memcached", "--ops", "50"];
+    let uniform = asap_sim(&base);
+    let skewed = asap_sim(&[&base[..], &["--zipf", "0.9"]].concat());
+    assert!(uniform.status.success(), "{}", stderr_of(&uniform));
+    assert!(skewed.status.success(), "{}", stderr_of(&skewed));
+    let (m0, m1) = (manifest_of(&uniform), manifest_of(&skewed));
+    assert!(!m0.contains("zipf"), "{m0}");
+    assert!(m1.contains("\"zipf_theta\":0.9,"), "{m1}");
+    assert_ne!(m0, m1);
+}
+
 #[test]
 fn unknown_workload_model_flavor_exit_two_listing_known_ones() {
     for (argv, known) in [

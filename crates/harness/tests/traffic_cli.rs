@@ -63,11 +63,22 @@ fn zero_gap_exits_two() {
 
 #[test]
 fn malformed_requests_exits_two() {
-    let out = traffic(&["--requests", "many"]);
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
-    let err = stderr_of(&out);
-    assert!(err.contains("--requests"), "{err}");
-    assert!(err.contains("many"), "{err}");
+    // Zero printed all-zero rows. Past `MAX_REQUESTS` (2^24), 10^10
+    // requests at gap 1 passed the arrival bound and reserved a 240 GB
+    // bank; the bound rejects them before anything is generated.
+    for args in [
+        &["--requests", "many"][..],
+        &["--requests", "0"],
+        &["--requests", "16777217"],
+        &["--requests", "10000000000", "--gap", "1"],
+    ] {
+        let out = traffic(args);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("--requests"), "{args:?}: {err}");
+        assert!(err.contains(args[1]), "{args:?}: {err}");
+        assert!(stdout_of(&out).is_empty(), "{args:?} ran the sweep");
+    }
 }
 
 #[test]

@@ -6,12 +6,16 @@
 //! records). Each line also carries the identity of the write that owns
 //! its current value, which the crash-consistency oracle uses to validate
 //! the recovered state against the write journal.
+//!
+//! Lines are indexed by the workspace's one hash table,
+//! [`LineTable`]: a line's record lives at its dense first-touch
+//! index, so iteration, [`NvmImage::content_digest`] and the oracle's
+//! walk all follow first-touch order.
 
 use crate::space::LineSnapshot;
-use asap_sim_core::{fnv1a_fold, mix64 as mix, EpochId, LineAddr, CACHE_LINE_BYTES, FNV_OFFSET};
-
-/// Probe-table sentinel for an empty slot.
-const EMPTY: u32 = u32::MAX;
+use asap_sim_core::{
+    fnv1a_fold, EpochId, LineAddr, LineIdx, LineTable, CACHE_LINE_BYTES, FNV_OFFSET,
+};
 
 /// Per-line persisted state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,19 +61,14 @@ impl Default for LineRecord {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NvmImage {
-    /// Probe table: each slot is `EMPTY` or an index into `keys`/`recs`.
-    /// Open-addressed (same scheme as `LineTable`/`PmSpace`): `persist`
-    /// runs once per accepted flush, and a SipHash `HashMap` insert
-    /// there was measurable sweep wall clock. Dense storage doubles as
-    /// a deterministic (first-touch) iteration order for the oracle.
-    slots: Vec<u32>,
-    keys: Vec<LineAddr>,
+    /// Line index: `lines.lookup(l)` is the position of `l`'s record in
+    /// `recs`/`preinit`. `persist` runs once per accepted flush, and a
+    /// SipHash `HashMap` insert there was measurable sweep wall clock.
+    lines: LineTable,
     recs: Vec<LineRecord>,
-    /// `slots.len() - 1` (capacity is a power of two).
-    mask: usize,
     /// Whether the line was populated before the measured run (a
     /// pre-formatted pool): exempt from the oracle's "untagged lines
-    /// are zero" check. Indexed like `keys`/`recs`.
+    /// are zero" check. Indexed like `recs`.
     preinit: Vec<bool>,
     writes: u64,
     /// Monotonic mutation counter: bumped on every `persist`, `restore`
@@ -82,10 +81,8 @@ pub struct NvmImage {
 impl Default for NvmImage {
     fn default() -> NvmImage {
         NvmImage {
-            slots: vec![EMPTY; 512],
-            keys: Vec::new(),
+            lines: LineTable::with_capacity(256),
             recs: Vec::new(),
-            mask: 511,
             preinit: Vec::new(),
             writes: 0,
             version: 0,
@@ -102,53 +99,18 @@ impl NvmImage {
     /// Dense index of `line`'s record, if present.
     #[inline]
     fn lookup(&self, line: LineAddr) -> Option<usize> {
-        let mut slot = (mix(line.index()) as usize) & self.mask;
-        loop {
-            let s = self.slots[slot];
-            if s == EMPTY {
-                return None;
-            }
-            if self.keys[s as usize] == line {
-                return Some(s as usize);
-            }
-            slot = (slot + 1) & self.mask;
-        }
+        self.lines.lookup(line).map(LineIdx::as_usize)
     }
 
-    /// Dense index of `line`'s record, inserting a default record (and
-    /// growing the probe table) on first touch.
+    /// Dense index of `line`'s record, inserting a default record on
+    /// first touch.
     fn lookup_or_insert(&mut self, line: LineAddr) -> usize {
-        if let Some(i) = self.lookup(line) {
-            return i;
+        let i = self.lines.intern(line).as_usize();
+        if i == self.recs.len() {
+            self.recs.push(LineRecord::default());
+            self.preinit.push(false);
         }
-        let idx = self.keys.len() as u32;
-        assert!(idx != EMPTY, "NVM image overflow");
-        self.keys.push(line);
-        self.recs.push(LineRecord::default());
-        self.preinit.push(false);
-        let mut slot = (mix(line.index()) as usize) & self.mask;
-        while self.slots[slot] != EMPTY {
-            slot = (slot + 1) & self.mask;
-        }
-        self.slots[slot] = idx;
-        if self.keys.len() * 2 > self.slots.len() {
-            self.grow();
-        }
-        idx as usize
-    }
-
-    fn grow(&mut self) {
-        let cap = self.slots.len() * 2;
-        self.mask = cap - 1;
-        self.slots.clear();
-        self.slots.resize(cap, EMPTY);
-        for (i, &line) in self.keys.iter().enumerate() {
-            let mut slot = (mix(line.index()) as usize) & self.mask;
-            while self.slots[slot] != EMPTY {
-                slot = (slot + 1) & self.mask;
-            }
-            self.slots[slot] = i as u32;
-        }
+        i
     }
 
     /// Current contents and ownership of `line` (zero/no-owner default for
@@ -234,13 +196,13 @@ impl NvmImage {
 
     /// Iterate over all lines ever written, in first-touch order
     /// (deterministic by construction).
-    pub fn iter(&self) -> impl Iterator<Item = (&LineAddr, &LineRecord)> {
-        self.keys.iter().zip(&self.recs)
+    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &LineRecord)> {
+        self.lines.iter().map(|(_, line)| line).zip(&self.recs)
     }
 
     /// Number of distinct lines present.
     pub fn distinct_lines(&self) -> usize {
-        self.keys.len()
+        self.recs.len()
     }
 
     /// Monotonic mutation counter (see the field docs): strictly
@@ -257,7 +219,7 @@ impl NvmImage {
     /// but identical final contents digest equal).
     pub fn content_digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
-        for (i, (line, rec)) in self.keys.iter().zip(&self.recs).enumerate() {
+        for (i, (line, rec)) in self.iter().enumerate() {
             h = fnv1a_fold(h, &line.byte_addr().to_le_bytes());
             h = fnv1a_fold(h, &rec.data);
             h = fnv1a_fold(h, &[rec.seq.is_some() as u8]);

@@ -1,12 +1,10 @@
 //! Byte-addressable functional persistent-memory space.
 
-use asap_sim_core::{mix64 as mix, LineAddr, CACHE_LINE_BYTES};
+use asap_sim_core::{LineAddr, LineIdx, LineTable, CACHE_LINE_BYTES};
+use std::cell::Cell;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT; // 4 kB
-
-/// Probe-table sentinel for an empty slot.
-const EMPTY: u32 = u32::MAX;
 
 /// A 64-byte snapshot of one cache line's contents.
 pub type LineSnapshot = [u8; CACHE_LINE_BYTES as usize];
@@ -17,8 +15,8 @@ pub type LineSnapshot = [u8; CACHE_LINE_BYTES as usize];
 ///
 /// Unbacked bytes read as zero, mirroring freshly-mapped PM pages.
 ///
-/// The page table is a zero-dependency open-addressed map (linear
-/// probing, multiplicative hashing) with a one-entry cache of the last
+/// The page table is a [`LineTable`] keyed by each backed page's first
+/// line, behind a one-entry cache of the last
 /// page touched: the workload programs funnel every functional load and
 /// store through here — several lookups per simulated memory operation —
 /// and a SipHash `HashMap` page walk was a measurable slice of the
@@ -37,26 +35,21 @@ pub type LineSnapshot = [u8; CACHE_LINE_BYTES as usize];
 /// ```
 #[derive(Debug, Clone)]
 pub struct PmSpace {
-    /// Probe table: each slot is `EMPTY` or an index into `pnos`/`pages`.
-    slots: Vec<u32>,
-    /// Dense storage: `pnos[i]` is the page number of `pages[i]`.
-    pnos: Vec<u64>,
+    /// Page index: `pages[i]` backs the page whose first line was
+    /// interned as `LineIdx(i)`.
+    table: LineTable,
     pages: Vec<Box<[u8; PAGE_BYTES]>>,
-    /// `slots.len() - 1` (capacity is a power of two).
-    mask: usize,
-    /// Last page touched (`pno`, dense index), `EMPTY` when invalid.
-    /// A `Cell` so the read path can refresh it through `&self`.
-    last: std::cell::Cell<(u64, u32)>,
+    /// Last page touched (page number, dense index). A `Cell` so the
+    /// read path can refresh it through `&self`.
+    last: Cell<Option<(u64, LineIdx)>>,
 }
 
 impl Default for PmSpace {
     fn default() -> PmSpace {
         PmSpace {
-            slots: vec![EMPTY; 64],
-            pnos: Vec::new(),
+            table: LineTable::with_capacity(32),
             pages: Vec::new(),
-            mask: 63,
-            last: std::cell::Cell::new((0, EMPTY)),
+            last: Cell::new(None),
         }
     }
 }
@@ -71,25 +64,22 @@ impl PmSpace {
         (addr >> PAGE_SHIFT, (addr as usize) & (PAGE_BYTES - 1))
     }
 
+    /// The page table's key for page `pno`: the page's first line.
+    fn key(pno: u64) -> LineAddr {
+        LineAddr::containing(pno << PAGE_SHIFT)
+    }
+
     /// Dense index of `pno`'s page, if backed (refreshes the one-entry
     /// cache on a hit).
     #[inline]
     fn lookup(&self, pno: u64) -> Option<usize> {
-        let (lp, li) = self.last.get();
-        if li != EMPTY && lp == pno {
-            return Some(li as usize);
-        }
-        let mut slot = (mix(pno) as usize) & self.mask;
-        loop {
-            let s = self.slots[slot];
-            if s == EMPTY {
-                return None;
+        match self.last.get() {
+            Some((lp, li)) if lp == pno => Some(li.as_usize()),
+            _ => {
+                let li = self.table.lookup(Self::key(pno))?;
+                self.last.set(Some((pno, li)));
+                Some(li.as_usize())
             }
-            if self.pnos[s as usize] == pno {
-                self.last.set((pno, s));
-                return Some(s as usize);
-            }
-            slot = (slot + 1) & self.mask;
         }
     }
 
@@ -97,37 +87,13 @@ impl PmSpace {
         let idx = match self.lookup(pno) {
             Some(i) => i,
             None => {
-                let idx = self.pages.len() as u32;
-                assert!(idx != EMPTY, "page table overflow");
-                self.pnos.push(pno);
+                let li = self.table.intern(Self::key(pno));
                 self.pages.push(Box::new([0u8; PAGE_BYTES]));
-                let mut slot = (mix(pno) as usize) & self.mask;
-                while self.slots[slot] != EMPTY {
-                    slot = (slot + 1) & self.mask;
-                }
-                self.slots[slot] = idx;
-                if self.pages.len() * 2 > self.slots.len() {
-                    self.grow();
-                }
-                self.last.set((pno, idx));
-                idx as usize
+                self.last.set(Some((pno, li)));
+                li.as_usize()
             }
         };
         &mut self.pages[idx]
-    }
-
-    fn grow(&mut self) {
-        let cap = self.slots.len() * 2;
-        self.mask = cap - 1;
-        self.slots.clear();
-        self.slots.resize(cap, EMPTY);
-        for (i, &pno) in self.pnos.iter().enumerate() {
-            let mut slot = (mix(pno) as usize) & self.mask;
-            while self.slots[slot] != EMPTY {
-                slot = (slot + 1) & self.mask;
-            }
-            self.slots[slot] = i as u32;
-        }
     }
 
     /// Read `buf.len()` bytes starting at `addr`.

@@ -18,6 +18,13 @@
 //! first-touch interning stays correct for workloads whose footprint is
 //! data-dependent.
 //!
+//! It is the workspace's only hash table on the simulated path: the NVM
+//! media image (`asap-pm-mem`'s `NvmImage`) keys its line records by a
+//! `LineTable`, and the functional memory (`PmSpace`) keys each backed
+//! page by the page's first line. The per-core structures that only
+//! ever hold a few dozen lines (the persist buffer, the baseline's
+//! fence dirty set) scan their entries instead.
+//!
 //! # Example
 //!
 //! ```
@@ -53,7 +60,9 @@ const EMPTY: u32 = u32::MAX;
 /// Open-addressed with linear probing; slots hold indices into the dense
 /// `addrs` vector, which records first-touch order (and is therefore the
 /// deterministic iteration order of every structure keyed by `LineIdx`).
-#[derive(Debug, Clone)]
+/// Two tables compare equal when they interned the same lines in the
+/// same order from the same initial capacity.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineTable {
     /// Probe table: each slot is `EMPTY` or an index into `addrs`.
     slots: Vec<u32>,
@@ -69,10 +78,10 @@ impl Default for LineTable {
     }
 }
 
-/// Finalizer-style mixer (splitmix64): addresses and page numbers are
-/// near-sequential, so a strong bit mix is what keeps linear-probing
-/// clusters short. Shared by every open-addressed table in the
-/// workspace (`LineTable` here, the page table in `asap-pm-mem`, …).
+/// Finalizer-style mixer (splitmix64): line addresses are
+/// near-sequential, so a strong bit mix is what keeps [`LineTable`]'s
+/// linear-probing clusters short. Also the crash-space explorer's
+/// seeded sampling rank.
 #[inline]
 pub fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -48,6 +48,12 @@ use std::fmt;
 /// rejects a `--gap` × `--requests` product past it.
 pub const MAX_ARRIVAL_CYCLE: u64 = 1 << 48;
 
+/// The most requests one leg may generate: 2^24, 84× the 200,000 of a
+/// paper-scale leg. [`generate`] reserves the whole bank up front, 24
+/// bytes a request (a 400 MB bank at the bound), so `asap_sweep
+/// traffic` rejects a larger `--requests` before generating anything.
+pub const MAX_REQUESTS: u64 = 1 << 24;
+
 /// What a request asks the service to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestOp {

@@ -2,8 +2,8 @@
 //! allocator disjointness, recovery-table state machine,
 //! event-queue ordering, histogram percentiles, the dependency DAG and
 //! the crash oracle (against a quadratic reference). The event queue,
-//! XPBuffer and set-associative array are also checked op by op against
-//! simple reference models.
+//! XPBuffer, set-associative array and persist buffer are also checked
+//! op by op against simple reference models.
 //!
 //! Cases are generated with the workspace's own [`DetRng`] (seeded per
 //! case, so every failure is reproducible from the printed case number)
@@ -13,7 +13,7 @@
 use asap::cache::SetAssoc;
 use asap::mc::{RecoveryTable, XpBuffer};
 use asap::model::oracle::{self, CrashReport, Violation, ViolationRule};
-use asap::model::DepGraph;
+use asap::model::{DepGraph, PbEntryState, PersistBuffer};
 use asap::pm::{NvmImage, PmAllocator, PmSpace, WriteJournal, WriteSeq};
 use asap::sim::{
     Cycle, DetRng, EpochId, EventQueue, LineAddr, LineIdx, LineTable, LogHistogram, ThreadId,
@@ -382,6 +382,155 @@ fn set_assoc_matches_tuple_array_model() {
         }
         let occupancy: usize = model.sets.iter().map(Vec::len).sum();
         assert_eq!(c.occupancy(), occupancy, "case {case}");
+    }
+}
+
+// ---- persist buffer vs the pairwise model ----
+
+/// One entry of the persist-buffer model: (id, line, epoch ts, state).
+type PbModelEntry = (u64, LineAddr, u64, PbEntryState);
+
+/// `PersistBuffer::next_flushable` by its definition: the oldest
+/// waiting, eligible entry that no *older* entry on its line blocks. An
+/// older same-line entry blocks when the policy is strict, when it sits
+/// NACKed, or when it shares the candidate's epoch.
+fn model_next_flushable(
+    entries: &[PbModelEntry],
+    eligible: impl Fn(u64) -> bool,
+    strict_lines: bool,
+) -> Option<u64> {
+    entries
+        .iter()
+        .enumerate()
+        .find_map(|(i, &(id, line, ts, state))| {
+            let blocked = entries[..i].iter().any(|&(_, l, t, s)| {
+                l == line && (strict_lines || s == PbEntryState::Nacked || t == ts)
+            });
+            (state == PbEntryState::Waiting && eligible(ts) && !blocked).then_some(id)
+        })
+}
+
+/// A random entry of `entries` in `state`, if any.
+fn model_pick(rng: &mut DetRng, entries: &[PbModelEntry], state: PbEntryState) -> Option<u64> {
+    let ids: Vec<u64> = entries
+        .iter()
+        .filter(|e| e.3 == state)
+        .map(|e| e.0)
+        .collect();
+    (!ids.is_empty()).then(|| ids[rng.index(ids.len())])
+}
+
+/// [`PersistBuffer`] agrees with a plain entry list on every
+/// `enqueue`/`mark_inflight`/`mark_nacked`/`wake_nacked`/`ack`, and
+/// after every step on `next_flushable` (under eligibility of every
+/// epoch, none, and only the oldest, with both line policies),
+/// `holds_line`, `has_waiting` and `has_nacked`. A few lines at every
+/// capacity keep same-line entries, NACKed blockers and coalescing
+/// common.
+#[test]
+fn persist_buffer_matches_pairwise_model() {
+    let t = ThreadId(0);
+    for capacity in [1usize, 4, 32, 64] {
+        for case in 0..CASES / 4 {
+            let mut rng = case_rng(20 + capacity as u64, case);
+            let mut pb = PersistBuffer::new(capacity);
+            let mut model: Vec<PbModelEntry> = Vec::new();
+            let mut next_id = 0u64;
+            let mut ts = 0u64;
+            let lines = (capacity as u64 / 4).max(2);
+            let la = |i: u64| LineAddr::containing(i * 64);
+            for step in 0..300u64 {
+                let ctx = format!("capacity {capacity} case {case} step {step}");
+                match rng.below(8) {
+                    0..=2 => {
+                        if rng.chance(0.25) {
+                            ts += 1;
+                        }
+                        let line = la(rng.below(lines));
+                        let e = EpochId::new(t, ts);
+                        let got = pb.enqueue(line, Box::new([step as u8; 64]), step, e);
+                        // A store coalesces into its line's waiting
+                        // entry of the same epoch.
+                        let same = model.iter().any(|&(_, l, et, s)| {
+                            l == line && et == ts && s == PbEntryState::Waiting
+                        });
+                        if same {
+                            assert!(matches!(got, Ok(Some(_))), "{ctx}: coalesce");
+                        } else if model.len() >= capacity {
+                            assert!(got.is_err(), "{ctx}: full");
+                        } else {
+                            assert_eq!(got, Ok(None), "{ctx}: new entry");
+                            model.push((next_id, line, ts, PbEntryState::Waiting));
+                            next_id += 1;
+                        }
+                    }
+                    3 => {
+                        if let Some(id) = model_pick(&mut rng, &model, PbEntryState::Waiting) {
+                            pb.mark_inflight(id);
+                            model.iter_mut().find(|e| e.0 == id).unwrap().3 =
+                                PbEntryState::Inflight;
+                        }
+                    }
+                    4 => {
+                        if let Some(id) = model_pick(&mut rng, &model, PbEntryState::Inflight) {
+                            pb.mark_nacked(id);
+                            model.iter_mut().find(|e| e.0 == id).unwrap().3 = PbEntryState::Nacked;
+                        }
+                    }
+                    5 => {
+                        let safe = rng.below(ts + 1);
+                        let mut woken = 0;
+                        for e in model.iter_mut() {
+                            if e.3 == PbEntryState::Nacked && e.2 <= safe {
+                                e.3 = PbEntryState::Waiting;
+                                woken += 1;
+                            }
+                        }
+                        assert_eq!(pb.wake_nacked(|e| e.ts <= safe), woken, "{ctx}: woken");
+                    }
+                    _ => {
+                        let id = if rng.chance(0.1) {
+                            next_id // never allocated yet
+                        } else {
+                            model_pick(&mut rng, &model, PbEntryState::Inflight).unwrap_or(next_id)
+                        };
+                        let pos = model.iter().position(|e| e.0 == id);
+                        let got = pb.ack(id).map(|e| e.id);
+                        assert_eq!(got, pos.map(|p| model.remove(p).0), "{ctx}: ack");
+                    }
+                }
+                let listed: Vec<PbModelEntry> = pb
+                    .iter()
+                    .map(|e| (e.id, e.line, e.epoch.ts, e.state))
+                    .collect();
+                assert_eq!(listed, model, "{ctx}: entries");
+                let oldest = model.first().map(|e| e.2);
+                let policies: [(&str, &dyn Fn(u64) -> bool); 3] = [
+                    ("every", &|_| true),
+                    ("none", &|_| false),
+                    ("oldest", &|ts| Some(ts) == oldest),
+                ];
+                for strict in [false, true] {
+                    for (name, eligible) in policies {
+                        assert_eq!(
+                            pb.next_flushable(|e| eligible(e.ts), strict).map(|e| e.id),
+                            model_next_flushable(&model, eligible, strict),
+                            "{ctx}: next_flushable, {name} eligible, strict {strict}"
+                        );
+                    }
+                }
+                for i in 0..=lines {
+                    assert_eq!(
+                        pb.holds_line(la(i)),
+                        model.iter().any(|e| e.1 == la(i)),
+                        "{ctx}: holds_line({i})"
+                    );
+                }
+                let has = |s: PbEntryState| model.iter().any(|e| e.3 == s);
+                assert_eq!(pb.has_waiting(), has(PbEntryState::Waiting), "{ctx}");
+                assert_eq!(pb.has_nacked(), has(PbEntryState::Nacked), "{ctx}");
+            }
+        }
     }
 }
 
@@ -780,7 +929,7 @@ fn reference_check(journal: &WriteJournal, g: &MapDepGraph, nvm: &NvmImage) -> C
     }
 
     let mut visible: BTreeSet<EpochId> = BTreeSet::new();
-    for (&line, rec) in nvm.iter() {
+    for (line, rec) in nvm.iter() {
         report.lines_checked += 1;
         let Some(seq) = rec.seq else {
             if !nvm.is_preinit(line) && rec.data.iter().any(|&b| b != 0) {
