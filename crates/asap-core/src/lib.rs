@@ -44,10 +44,11 @@
 //!   one `PersistencyModel` trait implementation per design on the
 //!   other. The engine never branches on [`ModelKind`]; the
 //!   `ModelDispatch` enum picks the implementation when
-//!   [`SimBuilder::build`] runs, and each design keeps its private
-//!   per-core state (baseline's dirty sets, HOPS' timestamp registers,
-//!   ASAP's conservative-mode flags) inside its own model struct. See
-//!   the `sim` module docs for the hook contract.
+//!   [`SimBuilder::build`] runs, `Sim` matches it once per run so the
+//!   engine executes on the concrete model, and each design keeps its
+//!   private per-core state (baseline's dirty sets, HOPS' timestamp
+//!   registers, ASAP's conservative-mode flags) inside its own model
+//!   struct. See the `sim` module docs for the hook contract.
 //! * [`oracle`] — the machine-checked version of §VI: after a simulated
 //!   crash, verifies that recovered NVM is ordering-consistent.
 //!

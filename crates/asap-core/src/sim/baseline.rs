@@ -6,7 +6,9 @@
 //!
 //! An epoch dirties few lines (at most 23 distinct ones over all of
 //! full Fig. 8's baseline fences, and 7 or fewer in 99.8% of them), so
-//! the dirty set is a first-store-ordered list searched by scan.
+//! the dirty set is a first-store-ordered list searched by scan. A fence
+//! moves that list into its [`Block::SyncFence`] without copying, and
+//! completion hands the emptied list back for the next epoch.
 
 use super::engine::{Block, Engine, Event};
 use super::model::{PersistencyModel, StoreOp};
@@ -36,51 +38,35 @@ impl DirtySet {
             None => self.lines.push((line, seq)),
         }
     }
-
-    /// Empty the set into `out` (cleared first), yielding the lines in
-    /// first-store order. The caller owns (and recycles) the buffer, so
-    /// a fence on a warm core allocates nothing.
-    fn drain_into(&mut self, out: &mut VecDeque<(LineAddr, u64)>) {
-        out.clear();
-        out.extend(self.lines.drain(..));
-    }
 }
 
 pub(super) struct BaselineModel {
     /// Dirty lines of the current epoch → latest write (seq), per core.
     sync_dirty: Vec<DirtySet>,
-    /// Recycled fence work-queues: every `Block::SyncFence` borrows one
-    /// and returns it (empty, capacity kept) when the fence completes.
-    spare_pending: Vec<VecDeque<(LineAddr, u64)>>,
 }
 
 impl BaselineModel {
     pub(super) fn new(n: usize) -> BaselineModel {
         BaselineModel {
             sync_dirty: (0..n).map(|_| DirtySet::default()).collect(),
-            spare_pending: Vec::new(),
         }
     }
 
     fn start_sync_fence(&mut self, eng: &mut Engine, t: usize, is_dfence: bool) {
-        let mut dirty = self.spare_pending.pop().unwrap_or_default();
-        self.sync_dirty[t].drain_into(&mut dirty);
+        let dirty = &mut self.sync_dirty[t].lines;
         if dirty.is_empty() {
-            self.spare_pending.push(dirty);
             finish_sync_epoch(eng, t);
             eng.finish_op(t, Cycle(1));
             return;
         }
-        eng.cores[t].blocked = Some(Block::SyncFence {
-            since: eng.now,
-            remaining: dirty.len(),
-            pending: dirty,
+        // `VecDeque::from` takes over the list's buffer: no copy.
+        let pending = VecDeque::from(std::mem::take(dirty));
+        let block = Block::SyncFence {
+            remaining: pending.len(),
+            pending,
             is_dfence,
-        });
-        eng.trace(TraceRecord::StallBegin {
-            tid: t,
-            reason: "SyncFence",
-        });
+        };
+        eng.stall(t, block);
         issue_sync_flushes(eng, t);
     }
 }
@@ -189,27 +175,13 @@ impl PersistencyModel for BaselineModel {
             false
         };
         if done {
-            let Some(Block::SyncFence {
-                since,
-                is_dfence,
-                pending,
-                ..
-            }) = eng.cores[tid].blocked.take()
-            else {
+            let Block::SyncFence { pending, .. } = eng.resume(tid) else {
                 unreachable!()
             };
-            debug_assert!(pending.is_empty());
-            self.spare_pending.push(pending);
-            let stall = eng.now.saturating_sub(since).raw();
-            if is_dfence {
-                eng.stats.dfence_stalled += stall;
-            } else {
-                eng.stats.ofence_stalled += stall;
-            }
-            eng.trace(TraceRecord::StallEnd {
-                tid,
-                reason: "SyncFence",
-            });
+            // Hand the emptied list back (capacity kept): the core was
+            // stalled, so its next epoch has dirtied nothing yet.
+            debug_assert!(pending.is_empty() && self.sync_dirty[tid].lines.is_empty());
+            self.sync_dirty[tid].lines = Vec::from(pending);
             finish_sync_epoch(eng, tid);
             eng.schedule_step(tid, eng.now);
         } else {
@@ -234,17 +206,17 @@ mod tests {
         d.insert(la(9), 3); // re-dirtied: keeps its slot, takes seq 3
         d.insert(la(5), 4);
         d.insert(la(2), 5);
-        let mut out = VecDeque::from([(la(1), 99)]);
-        d.drain_into(&mut out);
-        assert_eq!(
-            out.iter().copied().collect::<Vec<_>>(),
-            [(la(9), 3), (la(2), 5), (la(5), 4)]
-        );
-        // Drained: the next epoch starts empty.
-        d.drain_into(&mut out);
-        assert!(out.is_empty());
+        assert_eq!(d.lines, [(la(9), 3), (la(2), 5), (la(5), 4)]);
+        // A fence's round trip: the list moves into the fence's queue
+        // without reallocating, and the emptied queue comes back.
+        let buf = d.lines.as_ptr();
+        let mut pending = VecDeque::from(std::mem::take(&mut d.lines));
+        assert!(d.lines.is_empty(), "the next epoch starts empty");
+        assert_eq!(pending.pop_front(), Some((la(9), 3)));
+        pending.clear();
+        d.lines = Vec::from(pending);
+        assert_eq!(d.lines.as_ptr(), buf, "the buffer is reused, not copied");
         d.insert(la(2), 6);
-        d.drain_into(&mut out);
-        assert_eq!(out.iter().copied().collect::<Vec<_>>(), [(la(2), 6)]);
+        assert_eq!(d.lines, [(la(2), 6)]);
     }
 }

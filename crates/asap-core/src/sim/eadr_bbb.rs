@@ -47,10 +47,6 @@ impl PersistencyModel for EadrModel {
 pub(super) struct BbbModel;
 
 impl PersistencyModel for BbbModel {
-    fn wants_background_flush(&self) -> bool {
-        true
-    }
-
     fn on_store(&mut self, eng: &mut Engine, t: usize, op: StoreOp) -> bool {
         // Durable once inside the battery-backed buffer (no epoch-table
         // tracking); a full buffer back-pressures the core.
@@ -86,7 +82,6 @@ impl PersistencyModel for BbbModel {
     fn on_flush_reply(&mut self, eng: &mut Engine, tid: usize, entry_id: u64, ok: bool) {
         // No epoch table / recovery protocol: just retire the entry.
         debug_assert!(ok, "BBB flushes are always safe");
-        let _ = ok;
         let occ_before = eng.cores[tid].pb.len();
         if let Some(e) = eng.cores[tid].pb.ack(entry_id) {
             eng.note_pb_occ_change(tid, occ_before);

@@ -17,19 +17,19 @@ use asap_sim_core::{
 };
 use std::collections::VecDeque;
 
-/// Why a core is not executing.
-#[derive(Debug, Clone)]
+/// Why a core is not executing. A core enters a block only through
+/// [`Engine::stall`] and leaves it only through [`Engine::resume`].
+#[derive(Debug)]
 pub(super) enum Block {
     /// Persist buffer full; the pending store op is parked here.
-    PbFull { since: Cycle, op: MemOp },
+    PbFull { op: MemOp },
     /// Epoch table full; the pending fence op is parked here.
-    EtFull { since: Cycle, op: MemOp },
+    EtFull { op: MemOp },
     /// Waiting on `dfence` (all epochs must commit).
-    DFence { since: Cycle },
+    DFence,
     /// Baseline synchronous fence: waiting for `remaining` flush acks,
     /// with `pending` lines still to issue.
     SyncFence {
-        since: Cycle,
         remaining: usize,
         pending: VecDeque<(LineAddr, u64)>,
         is_dfence: bool,
@@ -48,6 +48,8 @@ pub(super) struct Core {
     pub retire_fence_issued: bool,
     pub done: bool,
     pub blocked: Option<Block>,
+    /// When the current block began (meaningful while `blocked` is set).
+    pub stalled_since: Cycle,
     pub inflight: usize,
     pub core_free_at: Cycle,
     pub step_scheduled: bool,
@@ -150,10 +152,6 @@ pub(super) struct Engine {
     /// (`SimBuilder::collect_crash_points`). Observes boundaries and the
     /// crash-state digest; never schedules simulation work.
     pub collector: Option<Box<CrashPoints>>,
-    /// Construction-time model capabilities (see
-    /// [`PersistencyModel::uses_pb`] / `wants_background_flush`).
-    pub uses_pb: bool,
-    pub flush_engine: bool,
     /// Recycled burst-generation buffers ([`BurstCtx::with_buffers`]):
     /// the op stream and preinit-line list round-trip through every
     /// burst instead of being allocated per burst. `mem::take`'d while
@@ -174,8 +172,6 @@ impl Engine {
         flavor: Flavor,
         programs: Vec<Box<dyn ThreadProgram>>,
         journal: bool,
-        uses_pb: bool,
-        flush_engine: bool,
     ) -> Engine {
         let n = cfg.num_cores;
         let mut cores = Vec::with_capacity(n);
@@ -195,6 +191,7 @@ impl Engine {
                 retire_fence_issued: false,
                 done: false,
                 blocked: None,
+                stalled_since: Cycle::ZERO,
                 inflight: 0,
                 core_free_at: Cycle::ZERO,
                 step_scheduled: false,
@@ -244,8 +241,6 @@ impl Engine {
                 .then(|| Box::new(TextTracer::stderr()) as Box<dyn Tracer>),
             sampler: None,
             collector: None,
-            uses_pb,
-            flush_engine,
             burst_ops_scratch: Vec::new(),
             preinit_scratch: Vec::new(),
             commit_mcs_scratch: Vec::new(),
@@ -507,13 +502,13 @@ impl Engine {
         }
     }
 
+    /// Arm core `t`'s flush engine. Only the designs that have one (HOPS,
+    /// ASAP, BBB) reach a call: every caller is a persist-buffer flow.
     pub(super) fn schedule_flush(&mut self, t: usize) {
-        if self.flush_engine {
-            // The flush engine arbitrates a few cycles after enqueue;
-            // the slack also lets back-to-back stores to one line inside
-            // a burst coalesce instead of racing their own flush.
-            self.schedule(self.now + Cycle(8), Event::TryFlush(t));
-        }
+        // The flush engine arbitrates a few cycles after enqueue; the
+        // slack also lets back-to-back stores to one line inside a burst
+        // coalesce instead of racing their own flush.
+        self.schedule(self.now + Cycle(8), Event::TryFlush(t));
     }
 
     pub(super) fn finish_op(&mut self, t: usize, latency: Cycle) {
@@ -556,18 +551,50 @@ impl Engine {
         }
     }
 
+    /// Stall core `t` on `block`: the one way a core stops executing.
+    /// Stamps the cycle and opens the trace span [`block_name`] names.
+    pub(super) fn stall(&mut self, t: usize, block: Block) {
+        let reason = block_name(&block);
+        self.cores[t].blocked = Some(block);
+        self.cores[t].stalled_since = self.now;
+        self.trace(TraceRecord::StallBegin { tid: t, reason });
+    }
+
+    /// Lift core `t`'s block and hand it back: closes the trace span and
+    /// charges the stalled cycles to the block's counter (PB-full to
+    /// `cycles_stalled`, ET-full to `ofence_stalled`, dfence to
+    /// `dfence_stalled`, a baseline fence to the counter of its kind).
+    /// The caller re-parks any op the block held and reschedules the core.
+    pub(super) fn resume(&mut self, t: usize) -> Block {
+        let block = self.cores[t]
+            .blocked
+            .take()
+            .expect("resume of a running core");
+        let stalled = self.now.saturating_sub(self.cores[t].stalled_since).raw();
+        let counter = match block {
+            Block::PbFull { .. } => &mut self.stats.cycles_stalled,
+            Block::EtFull { .. } => &mut self.stats.ofence_stalled,
+            Block::DFence => &mut self.stats.dfence_stalled,
+            Block::SyncFence { is_dfence, .. } => match is_dfence {
+                true => &mut self.stats.dfence_stalled,
+                false => &mut self.stats.ofence_stalled,
+            },
+        };
+        *counter += stalled;
+        self.trace(TraceRecord::StallEnd {
+            tid: t,
+            reason: block_name(&block),
+        });
+        block
+    }
+
     pub(super) fn unblock_pb_full(&mut self, t: usize) {
         if matches!(self.cores[t].blocked, Some(Block::PbFull { .. }))
             && !self.cores[t].pb.is_full()
         {
-            let Some(Block::PbFull { since, op }) = self.cores[t].blocked.take() else {
+            let Block::PbFull { op } = self.resume(t) else {
                 unreachable!()
             };
-            self.stats.cycles_stalled += self.now.saturating_sub(since).raw();
-            self.trace(TraceRecord::StallEnd {
-                tid: t,
-                reason: "PbFull",
-            });
             self.cores[t].burst.push_front(op);
             self.schedule_step(t, self.now);
         }
@@ -580,7 +607,7 @@ impl Engine {
     }
 
     pub(super) fn update_pb_blocked<M: PersistencyModel>(&mut self, m: &M, t: usize) {
-        if !self.uses_pb {
+        if !m.uses_pb() {
             return;
         }
         // Ordering-blocked (Figure 3): a write is sitting in the buffer
@@ -594,15 +621,20 @@ impl Engine {
                     .next_flushable(|e| m.epoch_eligible(self, t, e), !m.relaxed_lines(t))
                     .is_none()
         };
-        self.set_pb_blocked(t, blocked_now);
+        self.set_pb_blocked(m, t, blocked_now);
     }
 
     /// Open or close core `t`'s ordering-blocked interval given whether
     /// its buffer is blocked now. A no-op for the models without a
     /// tracked persist buffer (`uses_pb` false), BBB included: its flush
     /// engine drains a buffer this accounting does not cover.
-    pub(super) fn set_pb_blocked(&mut self, t: usize, blocked_now: bool) {
-        if !self.uses_pb {
+    pub(super) fn set_pb_blocked<M: PersistencyModel>(
+        &mut self,
+        m: &M,
+        t: usize,
+        blocked_now: bool,
+    ) {
+        if !m.uses_pb() {
             return;
         }
         match (self.cores[t].pb_blocked_since, blocked_now) {
@@ -620,7 +652,7 @@ pub(super) fn block_name(b: &Block) -> &'static str {
     match b {
         Block::PbFull { .. } => "PbFull",
         Block::EtFull { .. } => "EtFull",
-        Block::DFence { .. } => "DFence",
+        Block::DFence => "DFence",
         Block::SyncFence { .. } => "SyncFence",
     }
 }

@@ -148,7 +148,7 @@ impl Engine {
         let out = self.hub.access(ThreadId(t), line, false);
         let mut lat = out.latency;
         if out.llc_miss {
-            if self.uses_pb && self.cores[t].pb.holds_line(line) {
+            if m.uses_pb() && self.cores[t].pb.holds_line(line) {
                 // Load forwarded from the core's own persist buffer.
                 lat += self.cfg.l1_latency;
             } else {
@@ -253,14 +253,7 @@ impl Engine {
                 // PB full: stall the core, repark the op (§VI-A: "the
                 // incoming write from the core is stalled").
                 let op = StoreOp::park(addr, seq, data, release);
-                self.cores[t].blocked = Some(Block::PbFull {
-                    since: self.now,
-                    op,
-                });
-                self.trace(TraceRecord::StallBegin {
-                    tid: t,
-                    reason: "PbFull",
-                });
+                self.stall(t, Block::PbFull { op });
                 self.schedule_flush(t);
                 false
             }
@@ -275,14 +268,7 @@ impl Engine {
     /// a full epoch table.
     pub(super) fn pb_ofence<M: PersistencyModel>(&mut self, m: &mut M, t: usize) {
         if self.cores[t].et.is_full() {
-            self.cores[t].blocked = Some(Block::EtFull {
-                since: self.now,
-                op: MemOp::OFence,
-            });
-            self.trace(TraceRecord::StallBegin {
-                tid: t,
-                reason: "EtFull",
-            });
+            self.stall(t, Block::EtFull { op: MemOp::OFence });
             return;
         }
         self.split_epoch(m, t);
@@ -300,11 +286,7 @@ impl Engine {
             self.open_next_epoch(t);
             self.finish_op(t, Cycle(1));
         } else {
-            self.cores[t].blocked = Some(Block::DFence { since: self.now });
-            self.trace(TraceRecord::StallBegin {
-                tid: t,
-                reason: "DFence",
-            });
+            self.stall(t, Block::DFence);
             self.schedule_flush(t);
             self.update_pb_blocked(m, t);
         }
@@ -346,7 +328,7 @@ impl Engine {
     /// Epoch persistency: any access supplied by a remote dirty line
     /// creates a dependency (paper §IV-E).
     fn handle_ep_conflict<M: PersistencyModel>(&mut self, m: &mut M, t: usize, src_tid: ThreadId) {
-        if self.flavor != Flavor::Epoch || !self.uses_pb || src_tid.0 == t {
+        if self.flavor != Flavor::Epoch || !m.uses_pb() || src_tid.0 == t {
             return;
         }
         let src_epoch = self.cores[src_tid.0].cur_epoch();
@@ -356,7 +338,7 @@ impl Engine {
     /// Release persistency: an acquire synchronizing with a remote
     /// release creates the dependency.
     fn handle_acquire<M: PersistencyModel>(&mut self, m: &mut M, t: usize, line: LineAddr) {
-        if !self.uses_pb {
+        if !m.uses_pb() {
             return;
         }
         let Some(src_epoch) = self
@@ -379,7 +361,7 @@ impl Engine {
     /// Release persistency: record the releasing epoch and end it
     /// (one-sided barrier).
     fn handle_release<M: PersistencyModel>(&mut self, m: &mut M, t: usize, line: LineAddr) {
-        if !self.uses_pb {
+        if !m.uses_pb() {
             return;
         }
         let e = self.cores[t].cur_epoch();
@@ -438,9 +420,6 @@ impl Engine {
     // ---------------------------------------------------------------
 
     pub(super) fn try_flush<M: PersistencyModel>(&mut self, m: &mut M, t: usize) {
-        if !self.flush_engine {
-            return;
-        }
         // Retry NACKed entries whose epoch has since become safe (the
         // transition can happen via commit *or* CDR resolution). Gated
         // on the NACK count: the epoch-table walk is wasted work on the
@@ -460,7 +439,7 @@ impl Engine {
                 // The scan just found nothing flushable: the buffer is
                 // ordering-blocked exactly when an entry is waiting.
                 let blocked_now = self.cores[t].pb.has_waiting();
-                self.set_pb_blocked(t, blocked_now);
+                self.set_pb_blocked(m, t, blocked_now);
                 return;
             };
             let early = m.flushes_early(self, t, epoch.ts);
@@ -591,7 +570,7 @@ impl Engine {
     // ---------------------------------------------------------------
 
     pub(super) fn try_commit<M: PersistencyModel>(&mut self, m: &mut M, t: usize) {
-        if !self.uses_pb {
+        if !m.uses_pb() {
             return;
         }
         // Scratch round-trip: a hook that re-enters this flow just takes
@@ -636,17 +615,8 @@ impl Engine {
         self.wake_safe_nacked(t);
 
         // dfence release.
-        if matches!(self.cores[t].blocked, Some(Block::DFence { .. }))
-            && self.cores[t].et.is_empty()
-        {
-            let Some(Block::DFence { since }) = self.cores[t].blocked.take() else {
-                unreachable!()
-            };
-            self.stats.dfence_stalled += self.now.saturating_sub(since).raw();
-            self.trace(TraceRecord::StallEnd {
-                tid: t,
-                reason: "DFence",
-            });
+        if matches!(self.cores[t].blocked, Some(Block::DFence)) && self.cores[t].et.is_empty() {
+            self.resume(t);
             self.open_next_epoch(t);
             self.schedule_step(t, self.now);
         }
@@ -654,14 +624,9 @@ impl Engine {
         if matches!(self.cores[t].blocked, Some(Block::EtFull { .. }))
             && !self.cores[t].et.is_full()
         {
-            let Some(Block::EtFull { since, op }) = self.cores[t].blocked.take() else {
+            let Block::EtFull { op } = self.resume(t) else {
                 unreachable!()
             };
-            self.stats.ofence_stalled += self.now.saturating_sub(since).raw();
-            self.trace(TraceRecord::StallEnd {
-                tid: t,
-                reason: "EtFull",
-            });
             self.cores[t].burst.push_front(op);
             self.schedule_step(t, self.now);
         }

@@ -57,15 +57,10 @@ impl PersistencyModel for HopsModel {
     }
 
     fn on_flush_reply(&mut self, eng: &mut Engine, tid: usize, entry_id: u64, ok: bool) {
-        if ok {
-            eng.ack_pb_flush(self, tid, entry_id);
-        } else {
-            // Unreachable in practice: HOPS never issues early flushes,
-            // and only early flushes can be NACKed (RT pressure). Kept
-            // for engine parity: re-queue and wait for safety.
-            eng.cores[tid].pb.mark_nacked(entry_id);
-            eng.wake_safe_nacked(tid);
-        }
+        // HOPS issues no early flush, and a controller NACKs only early
+        // flushes (recovery-table pressure).
+        debug_assert!(ok, "HOPS flushes are never NACKed");
+        eng.ack_pb_flush(self, tid, entry_id);
         eng.schedule_flush(tid);
         eng.update_pb_blocked(self, tid);
     }

@@ -39,17 +39,19 @@
 //!   load/store path, cross-thread dependencies, the flush pipeline and
 //!   the commit protocol. Each protocol decision defers to a hook.
 //! * [`model`] — the `PersistencyModel` trait (the hook contract) and
-//!   the closed-world `ModelDispatch` enum the engine runs on.
+//!   the closed-world `ModelDispatch` enum that picks the design.
 //! * `baseline` / `hops` / `asap` / `eadr_bbb` — one implementation per
 //!   design, holding that design's private per-core state (baseline's
 //!   dirty sets, HOPS' global timestamps and poll flags, ASAP's
 //!   conservative-mode flags).
 //!
-//! The engine never branches on [`ModelKind`]; dispatch is fixed when
-//! [`SimBuilder::build`] resolves the kind. The run loop is generic over
-//! the model and instantiated with `ModelDispatch`, so every protocol
-//! hook is a visible five-way branch rather than a vtable call. A new
-//! design is one more trait implementation plus one more enum arm.
+//! The engine never branches on [`ModelKind`]: [`SimBuilder::build`]
+//! resolves the kind to a `ModelDispatch` variant, and `Sim` matches that
+//! enum once per entry point (the run loop, the build-time crash key and
+//! the crash preview). The run loop, every flow and every hook are
+//! generic over the model and run on the concrete one, so a hook is a
+//! direct call rather than a branch or a vtable call. A new design is
+//! one more trait implementation plus one more enum arm.
 
 mod asap;
 mod baseline;
@@ -67,7 +69,7 @@ use crate::oracle::{self, CrashReport, OracleError};
 use asap_pm_mem::{NvmImage, PmSpace};
 use asap_sim_core::{Cycle, Flavor, ModelKind, Sampler, SimConfig, Stats, TraceRecord, Tracer};
 use engine::{Engine, Event};
-use model::{ModelDispatch, PersistencyModel};
+use model::{each_model, ModelDispatch, PersistencyModel};
 use std::io::Write;
 
 /// Summary of a completed (or truncated) run.
@@ -175,14 +177,7 @@ impl SimBuilder {
         self.cfg.num_cores = self.programs.len();
         let n = self.cfg.num_cores;
         let model = ModelDispatch::new(self.model, n);
-        let mut engine = Engine::new(
-            self.cfg,
-            self.flavor,
-            self.programs,
-            self.journal,
-            model.uses_pb(),
-            model.wants_background_flush(),
-        );
+        let mut engine = Engine::new(self.cfg, self.flavor, self.programs, self.journal);
         if self.tracer.is_some() {
             engine.tracer = self.tracer;
         }
@@ -196,7 +191,7 @@ impl SimBuilder {
             engine.collector = Some(Box::new(CrashPoints::new()));
             // Seed the timeline with the pre-run state so a crash at
             // cycle 0 (before any event) resolves to a key.
-            engine.note_crash_key(&model);
+            each_model!(&model, m => engine.note_crash_key(m));
         }
         Sim {
             engine,
@@ -210,9 +205,10 @@ impl SimBuilder {
 ///
 /// `Sim` pairs the model-agnostic engine with the
 /// `PersistencyModel` chosen at build time (held as the
-/// closed-world `ModelDispatch` enum so hooks dispatch statically);
-/// every protocol decision flows through the trait's hooks, never
-/// through a `ModelKind` branch in the engine.
+/// closed-world `ModelDispatch` enum, matched once per entry point so
+/// the engine runs on the concrete model); every protocol decision
+/// flows through the trait's hooks, never through a `ModelKind` branch
+/// in the engine.
 pub struct Sim {
     engine: Engine,
     model: ModelDispatch,
@@ -363,7 +359,7 @@ impl Sim {
     }
 
     fn run_until(&mut self, limit: Option<Cycle>) -> SimOutcome {
-        self.engine.run_until(&mut self.model, limit);
+        each_model!(&mut self.model, m => self.engine.run_until(m, limit));
         SimOutcome {
             cycles: self.engine.now,
             ops_completed: self.engine.stats.ops_completed,
@@ -426,7 +422,7 @@ impl Sim {
             return Err(OracleError::JournalDisabled);
         }
         let mut nvm = self.engine.nvm.clone();
-        if self.model.on_crash_preview(&self.engine, &mut nvm) {
+        if each_model!(&self.model, m => m.on_crash_preview(&self.engine, &mut nvm)) {
             // The whole hierarchy is durable: trivially consistent.
             return Ok((CrashReport::default(), nvm));
         }

@@ -11,9 +11,10 @@
 //! non-destructive crash path serves both the one-shot oracle and the
 //! crash-space explorer.
 //!
-//! Dispatch is fixed at construction time ([`ModelDispatch::new`]): the
-//! engine never branches on [`ModelKind`], so adding a design means adding
-//! an implementation file and an enum arm, not editing the machine.
+//! The model is chosen at construction time ([`ModelDispatch::new`]) and
+//! dispatched once per `Sim` entry point, not per hook: the engine never
+//! branches on [`ModelKind`], so adding a design means adding an
+//! implementation file and an enum arm, not editing the machine.
 
 use super::collect::KeyMask;
 use super::engine::Engine;
@@ -57,12 +58,6 @@ pub(super) trait PersistencyModel {
     /// with epoch-table accounting (HOPS, ASAP)?
     fn uses_pb(&self) -> bool {
         false
-    }
-
-    /// Does a background flush engine drain this design's buffers
-    /// (HOPS, ASAP — and BBB, whose untracked buffer still drains)?
-    fn wants_background_flush(&self) -> bool {
-        self.uses_pb()
     }
 
     /// A store retired from the core. Return `false` if the core is now
@@ -164,13 +159,14 @@ pub(super) trait PersistencyModel {
     }
 }
 
-/// Closed-world dispatch over the five concrete persistency models.
+/// Closed-world choice of one of the five concrete persistency models.
 ///
-/// The engine's inner loop is generic over `M: PersistencyModel`, and
-/// [`Sim`](super::Sim) instantiates it with this enum: every protocol
-/// hook is a five-way jump table the optimizer can see through (and
-/// inline), instead of an opaque vtable call per store/fence/flush.
-/// This is the only place a `ModelKind` is mapped to protocol behaviour.
+/// The engine's run loop, flows and hooks are generic over
+/// `M: PersistencyModel`. [`Sim`](super::Sim) matches this enum once
+/// per entry point (`each_model!`: the run loop, the build-time crash
+/// key, the crash preview), so a whole run executes on the concrete
+/// model and every hook is a direct, inlinable call. This is the only
+/// place a `ModelKind` is mapped to protocol behaviour.
 pub(super) enum ModelDispatch {
     /// Synchronous write-back baseline (`clwb + sfence` persist path).
     Baseline(super::baseline::BaselineModel),
@@ -197,10 +193,12 @@ impl ModelDispatch {
     }
 }
 
-/// Expand `$body` once per variant with `$m` bound to the inner model.
+/// Expand `$body` once per variant with `$m` bound to the inner model
+/// (by reference when `$model` is one): the one place a run crosses from
+/// the enum to the concrete model.
 macro_rules! each_model {
-    ($self:ident, $m:ident => $body:expr) => {
-        match $self {
+    ($model:expr, $m:ident => $body:expr) => {
+        match $model {
             ModelDispatch::Baseline($m) => $body,
             ModelDispatch::Hops($m) => $body,
             ModelDispatch::Asap($m) => $body,
@@ -209,112 +207,4 @@ macro_rules! each_model {
         }
     };
 }
-
-impl PersistencyModel for ModelDispatch {
-    #[inline]
-    fn uses_pb(&self) -> bool {
-        each_model!(self, m => m.uses_pb())
-    }
-
-    #[inline]
-    fn wants_background_flush(&self) -> bool {
-        each_model!(self, m => m.wants_background_flush())
-    }
-
-    #[inline]
-    fn on_store(&mut self, eng: &mut Engine, t: usize, op: StoreOp) -> bool {
-        each_model!(self, m => m.on_store(eng, t, op))
-    }
-
-    #[inline]
-    fn on_ofence(&mut self, eng: &mut Engine, t: usize) {
-        each_model!(self, m => m.on_ofence(eng, t))
-    }
-
-    #[inline]
-    fn on_dfence(&mut self, eng: &mut Engine, t: usize) {
-        each_model!(self, m => m.on_dfence(eng, t))
-    }
-
-    #[inline]
-    fn relaxed_lines(&self, t: usize) -> bool {
-        each_model!(self, m => m.relaxed_lines(t))
-    }
-
-    #[inline]
-    fn epoch_eligible(&self, eng: &Engine, t: usize, e: EpochId) -> bool {
-        each_model!(self, m => m.epoch_eligible(eng, t, e))
-    }
-
-    #[inline]
-    fn flushes_early(&self, eng: &Engine, t: usize, ts: u64) -> bool {
-        each_model!(self, m => m.flushes_early(eng, t, ts))
-    }
-
-    #[inline]
-    fn on_flush_reply(&mut self, eng: &mut Engine, tid: usize, entry_id: u64, ok: bool) {
-        each_model!(self, m => m.on_flush_reply(eng, tid, entry_id, ok))
-    }
-
-    #[inline]
-    fn commit_needs_mc_roundtrip(&self) -> bool {
-        each_model!(self, m => m.commit_needs_mc_roundtrip())
-    }
-
-    #[inline]
-    fn on_commit(&mut self, eng: &mut Engine, t: usize, ts: u64, dependents: &[ThreadId]) {
-        each_model!(self, m => m.on_commit(eng, t, ts, dependents))
-    }
-
-    #[inline]
-    fn on_commit_settled(&mut self, eng: &mut Engine, t: usize) {
-        each_model!(self, m => m.on_commit_settled(eng, t))
-    }
-
-    #[inline]
-    fn on_cross_dep(&mut self, eng: &mut Engine, t: usize) {
-        each_model!(self, m => m.on_cross_dep(eng, t))
-    }
-
-    #[inline]
-    fn on_cdr(&mut self, eng: &mut Engine, tid: usize) {
-        each_model!(self, m => m.on_cdr(eng, tid))
-    }
-
-    #[inline]
-    fn on_poll(&mut self, eng: &mut Engine, tid: usize) {
-        each_model!(self, m => m.on_poll(eng, tid))
-    }
-
-    #[inline]
-    fn on_sync_flush_arrive(
-        &mut self,
-        eng: &mut Engine,
-        tid: usize,
-        line: LineAddr,
-        seq: u64,
-        mc: usize,
-    ) {
-        each_model!(self, m => m.on_sync_flush_arrive(eng, tid, line, seq, mc))
-    }
-
-    #[inline]
-    fn on_sync_flush_reply(&mut self, eng: &mut Engine, tid: usize) {
-        each_model!(self, m => m.on_sync_flush_reply(eng, tid))
-    }
-
-    #[inline]
-    fn on_crash_preview(&self, eng: &Engine, nvm: &mut NvmImage) -> bool {
-        each_model!(self, m => m.on_crash_preview(eng, nvm))
-    }
-
-    #[inline]
-    fn crash_key_mask(&self) -> KeyMask {
-        each_model!(self, m => m.crash_key_mask())
-    }
-
-    #[inline]
-    fn debug_conservative(&self, t: usize) -> bool {
-        each_model!(self, m => m.debug_conservative(t))
-    }
-}
+pub(super) use each_model;

@@ -1,11 +1,12 @@
 //! Digest-keyed on-disk outcome cache for incremental sweeps.
 //!
-//! Every sweep leg is a pure function of its spec: the simulator is
-//! deterministic, so a completed [`RunOutcome`]/`TrafficOutcome` can be
-//! persisted once and replayed forever — re-running a sweep after a
-//! config tweak only simulates the legs whose digests changed. This
-//! module provides the three pieces the executor ([`crate::exec`])
-//! composes:
+//! Every sweep leg is a pure function of its spec and of the build that
+//! simulates it: the simulator is deterministic, so a completed
+//! [`RunOutcome`]/`TrafficOutcome` can be persisted once and replayed by
+//! the same build — re-running a sweep after a config tweak only
+//! simulates the legs whose digests changed, and a rebuilt binary
+//! re-simulates every leg. This module provides the three pieces the
+//! executor ([`crate::exec`]) composes:
 //!
 //! 1. **Keys** — [`run_spec_digest`]/[`traffic_spec_digest`] fold every
 //!    field that feeds the simulation (config digest, model, flavour,
@@ -17,9 +18,12 @@
 //!    `f64` by bit pattern. A decoded outcome compares equal to the
 //!    original, so tables built from cached legs are byte-identical.
 //! 3. **Store** — [`OutcomeCache`] holds one checksummed file per key,
-//!    written atomically (temp file + rename). A truncated, corrupted
-//!    or wrong-format entry fails the checksum or the strict decode and
-//!    is treated as a miss — the leg is re-simulated, never mis-read.
+//!    written atomically (temp file + rename). Its first line,
+//!    `# asap-outcome v3 build=<016x>`, names the build that wrote it:
+//!    an FNV-1a of the running executable's bytes. A truncated,
+//!    corrupted, wrong-format or other-build entry fails the header,
+//!    the checksum or the strict decode and is treated as a miss — the
+//!    leg is re-simulated and its entry overwritten, never mis-read.
 
 use crate::runner::{RunManifest, RunOutcome, RunSpec};
 use crate::traffic::{TrafficOutcome, TrafficSpec};
@@ -29,6 +33,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// 64-bit FNV-1a over a string — the same digest as `SimConfig::digest`
@@ -262,8 +267,38 @@ pub fn decode_traffic(line: &str) -> Option<TrafficOutcome> {
 // On-disk store
 // -------------------------------------------------------------------
 
-/// First line of every cache entry file.
-const ENTRY_HEADER: &str = "# asap-outcome v2";
+/// First line of every cache entry file, up to the build identity.
+const ENTRY_FORMAT: &str = "# asap-outcome v3";
+
+/// This build's identity: FNV-1a over the running executable's bytes,
+/// read once per process. The spec digests cannot see a change to the
+/// simulator itself; this can.
+fn build_id() -> io::Result<u64> {
+    /// Folds every byte written into an FNV-1a state.
+    struct Fnv(u64);
+    impl io::Write for Fnv {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0 = fnv1a_fold(self.0, bytes);
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+    static ID: OnceLock<Result<u64, String>> = OnceLock::new();
+    let id = ID.get_or_init(|| {
+        let hash = || -> io::Result<u64> {
+            let mut fnv = Fnv(FNV_OFFSET);
+            io::copy(
+                &mut std::fs::File::open(std::env::current_exe()?)?,
+                &mut fnv,
+            )?;
+            Ok(fnv.0)
+        };
+        hash().map_err(|e| format!("cannot read the running executable: {e}"))
+    });
+    id.clone().map_err(io::Error::other)
+}
 
 /// Stores started by this process: with the pid, a temp-file name no
 /// other [`OutcomeCache::store`] call shares.
@@ -278,14 +313,24 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 pub struct OutcomeCache {
     dir: PathBuf,
+    /// `# asap-outcome v3 build=<this build's id>`: the first line this
+    /// process writes and the only one it loads.
+    header: String,
 }
 
 impl OutcomeCache {
     /// Open (creating if needed) the cache directory.
+    ///
+    /// # Errors
+    ///
+    /// The directory cannot be created, or the running executable cannot
+    /// be read to derive the build identity.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<OutcomeCache> {
+        let header = format!("{ENTRY_FORMAT} build={:016x}", build_id()?);
         std::fs::create_dir_all(dir.as_ref())?;
         Ok(OutcomeCache {
             dir: dir.as_ref().to_path_buf(),
+            header,
         })
     }
 
@@ -295,18 +340,19 @@ impl OutcomeCache {
     }
 
     /// Load the payload stored under `key`. Any failure — no file, bad
-    /// header, truncation, checksum mismatch — is a miss (`None`);
-    /// corruption can cost a re-run but never a wrong result.
+    /// header (another format or another build), truncation, checksum
+    /// mismatch — is a miss (`None`); corruption can cost a re-run but
+    /// never a wrong result.
     pub fn load(&self, key: u64) -> Option<String> {
         std::fs::read_to_string(self.entry_path(key))
             .ok()
-            .and_then(|text| Self::parse_entry(&text))
+            .and_then(|text| self.parse_entry(&text))
     }
 
     /// Validate an entry file and extract its payload.
-    fn parse_entry(text: &str) -> Option<String> {
+    fn parse_entry(&self, text: &str) -> Option<String> {
         let mut lines = text.lines();
-        if lines.next()? != ENTRY_HEADER {
+        if lines.next()? != self.header {
             return None;
         }
         let body: Vec<&str> = lines.collect();
@@ -321,7 +367,11 @@ impl OutcomeCache {
     /// lines starting with `# end `).
     pub fn store(&self, key: u64, payload: &str) -> io::Result<()> {
         let payload = payload.trim_end_matches('\n');
-        let text = format!("{ENTRY_HEADER}\n{payload}\n# end {:016x}\n", fnv1a(payload));
+        let text = format!(
+            "{}\n{payload}\n# end {:016x}\n",
+            self.header,
+            fnv1a(payload)
+        );
         let tmp = self.dir.join(format!(
             "{key:016x}.tmp.{}.{}",
             std::process::id(),
@@ -506,7 +556,11 @@ mod tests {
             "# asap-outcome v1\n{payload}\n# end {:016x}\n",
             fnv1a(payload)
         );
-        assert_eq!(full, v1.replace("v1", "v2"), "only the header differs");
+        assert_eq!(
+            full.split_once('\n').unwrap().1,
+            v1.split_once('\n').unwrap().1,
+            "only the header differs"
+        );
         std::fs::write(&path, v1).unwrap();
         assert_eq!(cache.load(key), None, "a v1 entry must miss");
 
@@ -515,6 +569,32 @@ mod tests {
         assert_eq!(dir_names(&dir), [format!("{key:016x}.entry")]);
         std::fs::write(&path, &full).unwrap();
         assert_eq!(cache.load(key).as_deref(), Some("kind=test payload=1"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entries_of_another_build_or_format_miss() {
+        let dir = tmpdir("build");
+        let cache = OutcomeCache::open(&dir).unwrap();
+        cache.store(3, "kind=test payload=1").unwrap();
+        let path = cache.entry_path(3);
+        let full = std::fs::read_to_string(&path).unwrap();
+        let (header, body) = full.split_once('\n').unwrap();
+        let id = build_id().unwrap();
+        assert_eq!(header, format!("# asap-outcome v3 build={id:016x}"));
+
+        // Another build's entry, checksum and all → miss.
+        let other = format!("# asap-outcome v3 build={:016x}\n{body}", !id);
+        std::fs::write(&path, other).unwrap();
+        assert_eq!(cache.load(3), None, "another build's entry must miss");
+        // The previous format, which named no build → miss.
+        std::fs::write(&path, format!("# asap-outcome v2\n{body}")).unwrap();
+        assert_eq!(cache.load(3), None, "a v2 entry must miss");
+
+        // The re-simulated leg's store overwrites the stale entry.
+        cache.store(3, "kind=test payload=1").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), full);
+        assert_eq!(cache.load(3).as_deref(), Some("kind=test payload=1"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,8 +7,10 @@
 //!   (Asynchronous DRAM Refresh drains it on power failure), which is why
 //!   flush *acks* are sent at WPQ acceptance;
 //! * an **NVM media pipe** with Optane-like timing (serialized 90 ns
-//!   writes, 175 ns reads) and a small **XPBuffer** ([`XpBuffer`])
-//!   line cache that makes most undo-record reads cheap (§V-A point 3);
+//!   writes, 175 ns reads) and a small **XPBuffer** ([`XpBuffer`]) line
+//!   cache (§V-A point 3). It is a pure statistic: no undo-record read
+//!   costs a cycle, hit or miss, because a flush is acked at WPQ
+//!   acceptance; the LRU only counts hits for `Stats::xpbuffer_hits`;
 //! * the paper's contribution at the MC: the **Recovery Table**
 //!   ([`RecoveryTable`]) holding *undo* and *delay* records, implementing
 //!   Table I of the paper exactly, with NACK backpressure when full

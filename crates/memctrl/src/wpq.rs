@@ -55,7 +55,6 @@ pub struct Wpq {
     media_free_at: Cycle,
     media_writes: u64,
     coalesced: u64,
-    max_occupancy: usize,
 }
 
 impl Wpq {
@@ -84,7 +83,6 @@ impl Wpq {
             media_free_at: Cycle::ZERO,
             media_writes: 0,
             coalesced: 0,
-            max_occupancy: 0,
         }
     }
 
@@ -110,23 +108,17 @@ impl Wpq {
         self.entries.len()
     }
 
-    /// High-water mark of occupancy.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
-    }
-
     /// Try to accept a line write at `now`.
     ///
-    /// Returns `Some(ack_time)` when accepted (either coalesced into a
-    /// pending entry or enqueued), or `None` when the queue is full — the
-    /// caller must retry once [`next_free_at`](Self::next_free_at)
-    /// passes.
+    /// Returns `Some(slot)` when accepted (either coalesced into a
+    /// pending entry or enqueued), where `slot` is the cycle the line's
+    /// media write starts, or `None` when the queue is full — the caller
+    /// must retry once [`next_free_at`](Self::next_free_at) passes.
     ///
-    /// The ack departs when the write is *scheduled* onto the media pipe
-    /// (its issue slot), not at raw queue acceptance: a loaded controller
-    /// therefore acks more slowly, which is what makes synchronous fences
-    /// expensive on contended memory — the effect the buffered designs
-    /// exist to hide.
+    /// The WPQ is in the ADR domain, so the write is durable at
+    /// acceptance: [`MemController::receive_flush`](crate::MemController::receive_flush)
+    /// acks at `now` and discards the slot. A loaded controller slows
+    /// flushes only by back-pressure, once the queue is full.
     pub fn push(&mut self, now: Cycle, line: LineIdx) -> Option<Cycle> {
         self.expire(now);
         // Coalesce with a same-line entry whose media write has not
@@ -147,13 +139,13 @@ impl Wpq {
         self.media_free_at = start + self.write_occupancy;
         self.media_writes += 1;
         self.entries.push_back(WpqEntry { line, start, done });
-        self.max_occupancy = self.max_occupancy.max(self.entries.len());
         Some(start)
     }
 
     /// Occupy the media pipe for `duration` without a queue entry (used
-    /// for undo-record reads and delay-record writes, which contend for
-    /// the same media bandwidth). Returns the completion time.
+    /// for the write-back of delay records at epoch commit, which contends
+    /// for the same media bandwidth; undo-record reads take the read path
+    /// and do not occupy it). Returns the completion time.
     pub fn occupy_media(&mut self, now: Cycle, duration: Cycle) -> Cycle {
         let start = self.media_free_at.max(now);
         let done = start + duration;
@@ -189,8 +181,8 @@ mod tests {
 
     #[test]
     fn serial_media_writes_queue_up() {
-        // Acks depart at the media *issue* slot: the first write issues
-        // immediately, later ones queue behind it (single bank).
+        // The returned slot is the media *issue* slot: the first write
+        // issues immediately, later ones queue behind it (single bank).
         let mut w = Wpq::new(16, W);
         let a0 = w.push(Cycle(0), la(0)).unwrap();
         let a1 = w.push(Cycle(0), la(1)).unwrap();
@@ -221,7 +213,6 @@ mod tests {
         assert_eq!(w.occupancy(Cycle(0)), 4);
         assert_eq!(w.occupancy(Cycle(181)), 3);
         assert_eq!(w.occupancy(Cycle(100_000)), 0);
-        assert_eq!(w.max_occupancy(), 4);
     }
 
     #[test]
@@ -243,10 +234,10 @@ mod tests {
     #[test]
     fn occupy_media_blocks_the_pipe() {
         let mut w = Wpq::new(16, W);
-        let r = w.occupy_media(Cycle(0), Cycle(350)); // a 175ns undo read
+        let r = w.occupy_media(Cycle(0), Cycle(350)); // a delay-record write-back
         assert_eq!(r, Cycle(350));
         let a = w.push(Cycle(0), la(0)).unwrap();
-        assert_eq!(a, Cycle(350)); // issue slot right after the read
+        assert_eq!(a, Cycle(350)); // issue slot right after the write-back
     }
 
     #[test]

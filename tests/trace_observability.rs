@@ -10,8 +10,10 @@
 //! ```
 
 use asap::model::{Flavor, ModelKind, SimBuilder};
-use asap::sim::{ChromeTracer, Cycle, SharedBuf, SimConfig};
+use asap::sim::{ChromeTracer, Cycle, SharedBuf, SimConfig, TraceRecord, Tracer};
 use asap::workloads::{make_workload, WorkloadKind, WorkloadParams};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 fn small_config() -> SimConfig {
     SimConfig::builder().cores(2).build().expect("valid config")
@@ -161,4 +163,105 @@ fn sampler_emits_csv_and_does_not_change_the_simulation() {
         rows += 1;
     }
     assert!(rows > 0, "expected at least one sample row");
+}
+
+/// Stall spans seen by [`SpanSum`]: the open span per core, and the
+/// closed cycles summed per reason.
+#[derive(Default)]
+struct Spans {
+    open: HashMap<usize, (&'static str, Cycle)>,
+    cycles: HashMap<&'static str, u64>,
+}
+
+/// A tracer that sums stall-span lengths by reason.
+struct SpanSum(Arc<Mutex<Spans>>);
+
+impl Tracer for SpanSum {
+    fn record(&mut self, at: Cycle, rec: TraceRecord) {
+        let mut s = self.0.lock().unwrap();
+        match rec {
+            TraceRecord::StallBegin { tid, reason } => {
+                let prev = s.open.insert(tid, (reason, at));
+                assert!(
+                    prev.is_none(),
+                    "core {tid} stalled twice: {prev:?}, {reason}"
+                );
+            }
+            TraceRecord::StallEnd { tid, reason } => {
+                let (begun, since) = s.open.remove(&tid).expect("stall end without begin");
+                assert_eq!(begun, reason, "core {tid}'s span changed reason");
+                *s.cycles.entry(reason).or_default() += at.raw() - since.raw();
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The `Stats` stall counters and the traced stall spans count the same
+/// cycles, cause by cause: PB-full spans are `cycles_stalled`, ET-full
+/// spans `ofence_stalled`, dfence spans `dfence_stalled`, and a baseline
+/// fence's sync-fence span the counter of its fence kind. Runs the
+/// golden fixture's memcached and queue configuration (4-entry RT and
+/// PB, 4 threads, 150 ops, seed 2024) under every model and flavour,
+/// with the default epoch table and with a 2-entry one, which makes
+/// ET-full stalls happen.
+#[test]
+fn stall_spans_match_stall_counters() {
+    let mut seen: HashMap<&str, u64> = HashMap::new();
+    for workload in [WorkloadKind::Memcached, WorkloadKind::Queue] {
+        for model in [
+            ModelKind::Baseline,
+            ModelKind::Hops,
+            ModelKind::Asap,
+            ModelKind::Eadr,
+            ModelKind::Bbb,
+        ] {
+            for flavor in [Flavor::Epoch, Flavor::Release] {
+                for et_entries in [None, Some(2)] {
+                    let mut cfg = SimConfig::builder()
+                        .rt_entries(4)
+                        .pb_entries(4)
+                        .build()
+                        .expect("valid config");
+                    if let Some(n) = et_entries {
+                        cfg.et_entries = n;
+                    }
+                    let params = WorkloadParams {
+                        threads: cfg.num_cores,
+                        ops_per_thread: 150,
+                        seed: 2024,
+                        ..Default::default()
+                    };
+                    let spans = Arc::new(Mutex::new(Spans::default()));
+                    let mut sim = SimBuilder::new(cfg, model, flavor)
+                        .programs(make_workload(workload, &params))
+                        .tracer(Box::new(SpanSum(spans.clone())))
+                        .build();
+                    assert!(sim.run_to_completion().all_done);
+                    let case = format!("{workload:?}/{model}/{flavor}/et={et_entries:?}");
+                    let s = spans.lock().unwrap();
+                    assert!(s.open.is_empty(), "{case}: open spans {:?}", s.open);
+                    let span = |reason: &str| s.cycles.get(reason).copied().unwrap_or(0);
+                    let st = sim.stats();
+                    assert_eq!(st.cycles_stalled, span("PbFull"), "{case}: PB-full");
+                    if model == ModelKind::Baseline {
+                        assert_eq!(
+                            st.ofence_stalled + st.dfence_stalled,
+                            span("SyncFence"),
+                            "{case}: sync fences"
+                        );
+                    } else {
+                        assert_eq!(st.ofence_stalled, span("EtFull"), "{case}: ET-full");
+                        assert_eq!(st.dfence_stalled, span("DFence"), "{case}: dfence");
+                    }
+                    for reason in ["PbFull", "EtFull", "DFence", "SyncFence"] {
+                        *seen.entry(reason).or_default() += span(reason);
+                    }
+                }
+            }
+        }
+    }
+    for reason in ["PbFull", "EtFull", "DFence", "SyncFence"] {
+        assert!(seen[reason] > 0, "no {reason} stall anywhere in the matrix");
+    }
 }
